@@ -6,6 +6,7 @@
 #ifndef ANN_COMMON_ENV_HH
 #define ANN_COMMON_ENV_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -22,6 +23,19 @@ std::int64_t envInt(const char *name, std::int64_t fallback);
  * anything else true), or @p fallback when unset.
  */
 bool envFlag(const char *name, bool fallback);
+
+/**
+ * A process-wide runtime toggle: seeded from envFlag(Name, Default) on
+ * first use (so variables set by main() before then still count) and
+ * settable afterwards for A/B harnesses.
+ */
+template <const char *Name, bool Default>
+std::atomic<bool> &
+envToggle()
+{
+    static std::atomic<bool> flag{envFlag(Name, Default)};
+    return flag;
+}
 
 /**
  * Directory used to cache generated datasets and built indexes across

@@ -21,9 +21,8 @@ namespace {
 /**
  * Pool whose job this thread is currently running; a nested
  * parallelFor on the *same* pool runs inline (fanning out would
- * deadlock a worker on its own pool), while a different pool — e.g.
- * the file I/O backend's overlap pool called from an execution
- * worker — still gets real parallelism.
+ * deadlock a worker on its own pool), while a different pool called
+ * from an execution worker still gets real parallelism.
  */
 thread_local const ThreadPool *tls_pool = nullptr;
 

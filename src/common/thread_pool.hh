@@ -77,9 +77,8 @@ class ThreadPool
      * Process default for execution-pool pinning, seeded from
      * $ANN_PIN_THREADS (default off) and overridable by the
      * --pin-threads CLI flag. Consulted by the call sites that build
-     * *execution* pools (bench runner, server); auxiliary pools (the
-     * file backend's I/O overlap pool) stay unpinned — their threads
-     * block on syscalls and gain nothing from affinity.
+     * *execution* pools (bench runner, server); other pools stay
+     * unpinned.
      */
     static bool pinByDefault();
     static void setPinByDefault(bool pin);

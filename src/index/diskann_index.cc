@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/error.hh"
 #include "common/hotpath.hh"
@@ -14,6 +15,7 @@
 #include "index/vamana.hh"
 #include "index/visit_table.hh"
 #include "learn/policy.hh"
+#include "storage/sector_reader.hh"
 
 namespace ann {
 
@@ -76,55 +78,6 @@ struct DiskHeader
     std::uint64_t code_bytes;
 };
 
-/**
- * Speculative next-hop stash slots for the async beam path
- * ($ANN_ASYNC_BEAM): while one hop drains, the runner-up frontier
- * candidates' records are prefetched into these fixed per-query
- * buffers; a hit on the next hop removes that node's read from the
- * critical path entirely. Fixed count bounds the wasted I/O when the
- * frontier prediction misses.
- */
-constexpr std::size_t kSpecSlots = 16;
-/** Completion-tag space: hop miss runs use [0, kSpecTagBase),
- *  speculative slot reads use kSpecTagBase + slot. */
-constexpr std::uint64_t kSpecTagBase = std::uint64_t{1} << 32;
-
-struct SpecSlot
-{
-    enum State : std::uint8_t { Free, InFlight, Ready };
-    std::uint64_t first = 0; ///< first sector covered
-    std::uint32_t age = 0;   ///< hop of issue (eviction order)
-    State state = Free;
-    bool consumed = false; ///< served a hop sector; freed at hop end
-};
-
-/** Per-sector wait state of one async hop. */
-enum class SectorWait : std::uint8_t
-{
-    Ready,      ///< bytes are in the fetch buffer
-    OwnedRun,   ///< part of miss run aux[i], in flight on our queue
-    SharedRead, ///< another query's in-flight read (single-flight)
-    SpecRead,   ///< speculative slot aux[i], in flight on our queue
-};
-
-/**
- * Unwind guard for single-flight ownership: any sector still in
- * @p owned when a hop unwinds gets its flight cancelled, releasing
- * queries attached to it (cancelling a published sector is a no-op).
- */
-struct FlightGuard
-{
-    storage::SectorCache *cache;
-    std::vector<std::uint64_t> &owned;
-    ~FlightGuard()
-    {
-        if (cache)
-            for (const std::uint64_t sector : owned)
-                cache->cancelFetch(sector);
-        owned.clear();
-    }
-};
-
 /** Candidate-list entry of the beam search (PQ-ranked). */
 struct BeamEntry
 {
@@ -153,23 +106,9 @@ struct DiskAnnScratch
     std::vector<BeamEntry> cands;
     std::vector<VectorId> beam;
     std::vector<std::uint64_t> sectors;
-    std::vector<std::size_t> miss_slots;
-    std::vector<std::uint64_t> miss_sectors;
-    std::vector<storage::IoRun> runs;
-    std::vector<storage::IoRequest> requests;
-    /** Hop sectors attached to another query's read (single-flight). */
-    std::vector<std::size_t> shared_slots;
-    /** Owned sectors claimed but not yet published (unwind safety). */
-    std::vector<std::uint64_t> unpublished;
-    /** Async beam state: per-sector wait category + aux (run index or
-     *  spec slot), the speculative stash, and poll scratch. */
-    std::vector<SectorWait> sector_wait;
-    std::vector<std::uint32_t> sector_aux;
-    std::vector<SpecSlot> spec;
-    /** Sector-aligned (O_DIRECT-safe) stash backing the spec slots. */
-    storage::AlignedBuffer spec_bytes;
-    std::vector<std::uint64_t> tags;
-    std::vector<std::uint64_t> done_tags;
+    /** One fetch-buffer span per coalesced run of the hop. */
+    std::vector<storage::SectorSpan> spans;
+    /** Pipelined hops: beam nodes already scored. */
     std::vector<std::uint8_t> node_done;
     /** Unvisited neighbours awaiting (batched) ADC scoring. */
     std::vector<VectorId> pending;
@@ -227,17 +166,7 @@ DiskAnnIndex::build(const MatrixView &data,
     const std::size_t code_size = pq_.codeSize();
     embeddedCodeBytes_ = params.embed_codes ? code_size : 0;
 
-    // Disk layout: pack whole node records into sectors.
-    nodeBytes_ = dim_ * sizeof(float) + sizeof(std::uint32_t) +
-                 maxDegree_ * sizeof(std::uint32_t) +
-                 maxDegree_ * embeddedCodeBytes_;
-    if (nodeBytes_ <= kSectorBytes) {
-        nodesPerSector_ = kSectorBytes / nodeBytes_;
-        sectorsPerNode_ = 1;
-    } else {
-        nodesPerSector_ = 0;
-        sectorsPerNode_ = (nodeBytes_ + kSectorBytes - 1) / kSectorBytes;
-    }
+    deriveRecordGeometry();
 
     // Record placement: resolve the requested policy now so the
     // choice is fixed for the life of the index (consolidate()
@@ -304,6 +233,22 @@ DiskAnnIndex::build(const MatrixView &data,
     applyCodeResidency();
 }
 
+void
+DiskAnnIndex::deriveRecordGeometry()
+{
+    // Disk layout: pack whole node records into sectors.
+    nodeBytes_ = dim_ * sizeof(float) + sizeof(std::uint32_t) +
+                 maxDegree_ * sizeof(std::uint32_t) +
+                 maxDegree_ * embeddedCodeBytes_;
+    if (nodeBytes_ <= kSectorBytes) {
+        nodesPerSector_ = kSectorBytes / nodeBytes_;
+        sectorsPerNode_ = 1;
+    } else {
+        nodesPerSector_ = 0;
+        sectorsPerNode_ = (nodeBytes_ + kSectorBytes - 1) / kSectorBytes;
+    }
+}
+
 storage::IoOptions
 DiskAnnIndex::effectiveIoOptions() const
 {
@@ -357,8 +302,9 @@ DiskAnnIndex::attachCache()
     while (head < queue.size() && warmed < config.warm_nodes) {
         const VectorId node = queue[head++];
         const std::uint64_t first = sectorOfNode(node);
-        readSectors(first, static_cast<std::uint32_t>(sectorsPerNode_),
-                    buf, /*use_cache=*/false);
+        const storage::IoRequest req{
+            first, static_cast<std::uint32_t>(sectorsPerNode_), buf};
+        io_->readBatch(&req, 1);
         for (std::size_t s = 0; s < sectorsPerNode_; ++s)
             cache_->warmInsert(first + s, buf + s * kSectorBytes);
         ++warmed;
@@ -410,25 +356,7 @@ DiskAnnIndex::setIoMode(const storage::IoOptions &options)
     // budget, applied below once the node file has moved.
     unspillCodes();
 
-    // Migrate the node file: stream it from the current backend into
-    // a sink opened under the new options.
-    const std::uint64_t size = io_->sizeBytes();
-    auto sink = storage::makeIoSink(options, size);
-    if (const std::uint8_t *image = io_->data()) {
-        sink->append(image, static_cast<std::size_t>(size));
-    } else {
-        storage::AlignedBuffer chunk;
-        std::uint8_t *buf =
-            chunk.ensure(kStreamSectors * kSectorBytes);
-        const std::uint64_t sectors = size / kSectorBytes;
-        for (std::uint64_t s = 0; s < sectors; s += kStreamSectors) {
-            const auto count = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(kStreamSectors, sectors - s));
-            readSectors(s, count, buf, /*use_cache=*/false);
-            sink->append(buf, count * kSectorBytes);
-        }
-    }
-    io_ = sink->finish();
+    io_ = storage::copyBackend(*io_, options);
     attachCache();
     applyCodeResidency();
 }
@@ -608,45 +536,12 @@ DiskAnnIndex::fetchRecord(VectorId node,
     if (const std::uint8_t *image = io_->data())
         return image + sectorOfNode(node) * kSectorBytes +
                recordOffsetInSector(node);
-    std::uint8_t *buf = scratch.ensure(sectorsPerNode_ * kSectorBytes);
-    readSectors(sectorOfNode(node),
-                static_cast<std::uint32_t>(sectorsPerNode_), buf,
-                /*use_cache=*/true);
-    return buf + recordOffsetInSector(node);
-}
-
-void
-DiskAnnIndex::readSectors(std::uint64_t first, std::uint32_t count,
-                          std::uint8_t *dest, bool use_cache) const
-{
-    ANN_ASSERT(io_ != nullptr, "node file not attached");
-    if (!use_cache || !cache_) {
-        const storage::IoRequest req{first, count, dest};
-        io_->readBatch(&req, 1);
-        return;
-    }
-    // Hit/miss partition matching the beam hops: hits copy in place,
-    // miss runs reach the backend and are admitted afterwards.
-    std::uint32_t s = 0;
-    while (s < count) {
-        if (cache_->lookup(first + s,
-                           dest + std::size_t{s} * kSectorBytes)) {
-            ++s;
-            continue;
-        }
-        std::uint32_t e = s + 1;
-        while (e < count &&
-               !cache_->lookup(first + e,
-                               dest + std::size_t{e} * kSectorBytes))
-            ++e;
-        const storage::IoRequest req{
-            first + s, e - s, dest + std::size_t{s} * kSectorBytes};
-        io_->readBatch(&req, 1);
-        for (std::uint32_t j = s; j < e; ++j)
-            cache_->admit(first + j,
-                          dest + std::size_t{j} * kSectorBytes);
-        s = e + (e < count ? 1 : 0);
-    }
+    // Through the cache, so these reads share the beam's accounting.
+    const storage::SectorSpan span{
+        sectorOfNode(node), static_cast<std::uint32_t>(sectorsPerNode_),
+        scratch.ensure(sectorsPerNode_ * kSectorBytes)};
+    storage::SectorReader(*io_, cache_.get()).read(&span, 1);
+    return span.dest + recordOffsetInSector(node);
 }
 
 SearchResult
@@ -806,14 +701,9 @@ DiskAnnIndex::searchInto(const float *query,
     reranked.reset(params.k);
     std::vector<VectorId> &beam = scratch->beam;
     std::vector<std::uint64_t> &sectors = scratch->sectors;
-    std::vector<std::size_t> &miss_slots = scratch->miss_slots;
-    std::vector<std::uint64_t> &miss_sectors = scratch->miss_sectors;
-    std::vector<storage::IoRun> &runs = scratch->runs;
-    std::vector<storage::IoRequest> &requests = scratch->requests;
+    std::vector<storage::SectorSpan> &spans = scratch->spans;
     std::vector<VectorId> &pending = scratch->pending;
     std::vector<float> &beam_dists = scratch->beam_dists;
-    std::vector<std::size_t> &shared_slots = scratch->shared_slots;
-    std::vector<std::uint64_t> &unpublished = scratch->unpublished;
 
     float stop_threshold = 0.0f;
     std::size_t stop_min_hops = 0;
@@ -835,39 +725,19 @@ DiskAnnIndex::searchInto(const float *query,
     float best_kth_seen = std::numeric_limits<float>::infinity();
     std::uint32_t last_improve_hop = 0;
 
-    // Zero-copy image when memory-resident; otherwise each hop
-    // fetches its beam through the backend.
+    // Zero-copy image when memory-resident; otherwise each hop reads
+    // its beam through one SectorReader per query: blocking per hop by
+    // default, pipelined under $ANN_ASYNC_BEAM (nodes are scored as
+    // their sectors land, and the likeliest next-hop frontier is read
+    // ahead into the reader's stash). The reader's destructor drains
+    // and unwinds before the scratch buffers can be reused.
     const std::uint8_t *image = io_->data();
     const std::uint8_t *fetched = nullptr;
-
-    // Async pipelined hops ($ANN_ASYNC_BEAM): a per-query submit/poll
-    // queue replaces the per-hop readBatch() barrier — completed
-    // nodes are scored while the rest of the hop is in flight, and
-    // the likeliest next-hop frontier is speculatively prefetched
-    // into the stash. The queue is per-query so its destructor drains
-    // every in-flight read before the scratch buffers can be reused.
     const bool async = !image && storage::asyncBeamEnabled();
-    std::unique_ptr<storage::IoQueue> ioq;
-    std::size_t ioq_outstanding = 0;
     const std::size_t spn = sectorsPerNode_;
-    std::vector<SpecSlot> &spec = scratch->spec;
-    if (async) {
-        ioq = io_->openQueue();
-        spec.assign(kSpecSlots, SpecSlot{});
-        scratch->spec_bytes.ensure(kSpecSlots * spn * kSectorBytes);
-        scratch->done_tags.resize(128);
-    }
-    const auto spec_bytes_of = [&](std::size_t sl) {
-        return scratch->spec_bytes.data() + sl * spn * kSectorBytes;
-    };
-    const auto spec_find = [&](std::uint64_t sector) -> int {
-        for (std::size_t sl = 0; sl < spec.size(); ++sl)
-            if (spec[sl].state != SpecSlot::Free &&
-                spec[sl].first <= sector &&
-                sector < spec[sl].first + spn)
-                return static_cast<int>(sl);
-        return -1;
-    };
+    std::optional<storage::SectorReader> reader;
+    if (!image)
+        reader.emplace(*io_, cache_.get());
 
     for (;;) {
         // Decision-time frontier stats (cands is sorted on entry to
@@ -941,230 +811,70 @@ DiskAnnIndex::searchInto(const float *query,
             sectors.erase(std::unique(sectors.begin(), sectors.end()),
                           sectors.end());
         }
-        std::uint8_t *buf = nullptr;
-        // Owned single-flight claims are cancelled on unwind so
-        // attached queries never wait on a read that will not happen;
-        // the list is cleared at hop end on the success path
-        // (cancelling an already-published sector is a no-op).
-        FlightGuard flight_guard{cache_.get(), unpublished};
-        unpublished.clear();
-        shared_slots.clear();
         if (!image) {
-            // Partition the hop into cache hits (copied into their
-            // fetch-buffer slot, zero I/O), speculative-stash hits,
-            // sectors attached to another query's in-flight read
-            // (single-flight), and misses (one batched submission
-            // below). The buffer keeps one slot per beam sector in
-            // sorted order regardless, so record_of() below is
-            // oblivious to which slots came from where.
-            buf = tls_fetch.ensure(sectors.size() * kSectorBytes);
-            miss_slots.clear();
-            miss_sectors.clear();
-            if (async) {
-                scratch->sector_wait.assign(sectors.size(),
-                                            SectorWait::Ready);
-                scratch->sector_aux.assign(sectors.size(), 0);
-            }
-            for (std::size_t i = 0; i < sectors.size(); ++i) {
-                if (async) {
-                    // Speculative stash first: its slots hold real
-                    // bytes fetched ahead of this hop.
-                    const int sl = spec_find(sectors[i]);
-                    if (sl >= 0) {
-                        SpecSlot &ss = spec[static_cast<size_t>(sl)];
-                        ss.consumed = true;
-                        if (ss.state == SpecSlot::Ready) {
-                            std::memcpy(
-                                buf + i * kSectorBytes,
-                                spec_bytes_of(
-                                    static_cast<size_t>(sl)) +
-                                    (sectors[i] - ss.first) *
-                                        kSectorBytes,
-                                kSectorBytes);
-                            if (cache_)
-                                cache_->admit(sectors[i],
-                                              buf + i * kSectorBytes);
-                        } else { // still in flight on our queue
-                            scratch->sector_wait[i] =
-                                SectorWait::SpecRead;
-                            scratch->sector_aux[i] =
-                                static_cast<std::uint32_t>(sl);
-                        }
-                        continue;
-                    }
-                }
-                if (cache_ && cache_->lookup(sectors[i],
-                                             buf + i * kSectorBytes))
-                    continue;
-                if (cache_) {
-                    // Single-flight: attach to another query's
-                    // in-flight read of this sector instead of
-                    // duplicating it.
-                    const storage::FetchClaim claim =
-                        cache_->beginFetch(sectors[i],
-                                           buf + i * kSectorBytes);
-                    if (claim == storage::FetchClaim::Cached)
-                        continue;
-                    if (claim == storage::FetchClaim::Shared) {
-                        shared_slots.push_back(i);
-                        if (async)
-                            scratch->sector_wait[i] =
-                                SectorWait::SharedRead;
-                        continue;
-                    }
-                    unpublished.push_back(sectors[i]);
-                }
-                if (async)
-                    scratch->sector_wait[i] = SectorWait::OwnedRun;
-                miss_slots.push_back(i);
-                miss_sectors.push_back(sectors[i]);
-            }
-            storage::coalesceSectors(miss_sectors, runs);
-        } else if (recorder) {
-            storage::coalesceSectors(sectors, runs);
+            // The fetch buffer keeps one slot per beam sector in sorted
+            // order, so record_of() below is oblivious to whether the
+            // cache, the stash, another query's read, or our own read
+            // filled a slot.
+            std::uint8_t *buf =
+                tls_fetch.ensure(sectors.size() * kSectorBytes);
+            storage::coalesceSpans(sectors, buf, spans);
+            if (async)
+                reader->submit(spans.data(), spans.size());
+            else
+                reader->read(spans.data(), spans.size(),
+                             tls_fetch.region());
+            fetched = buf;
         }
         if (recorder) {
             // Only sectors that reach the backend are charged to the
             // simulator; hop sectors served by the cache cost no I/O.
             std::vector<SectorRead> reads;
-            reads.reserve(runs.size());
-            for (const storage::IoRun &run : runs)
-                reads.push_back({run.sector, run.count});
+            if (image) {
+                for (const storage::IoRun &run :
+                     storage::coalesceSectors(sectors))
+                    reads.push_back({run.sector, run.count});
+            } else {
+                for (const storage::IoRequest &req : reader->issued())
+                    reads.push_back({req.sector, req.count});
+            }
             recorder->cpu() += local_ops;
             local_ops = OpCounts{};
             recorder->issueReads(std::move(reads));
         }
-        if (!image) {
-            // One batched submission for the hop's misses. A
-            // value-contiguous run is slot-contiguous too (sectors is
-            // sorted and gap-free inside a run), so each run lands as
-            // one read at its first sector's slot.
-            requests.clear();
-            for (const storage::IoRun &run : runs) {
-                const auto slot = static_cast<std::size_t>(
-                    std::lower_bound(sectors.begin(), sectors.end(),
-                                     run.sector) -
-                    sectors.begin());
-                requests.push_back({run.sector, run.count,
-                                    buf + slot * kSectorBytes});
-                if (async) {
-                    // Remember each sector's owning run for
-                    // completion marking (tag = run index).
-                    for (std::uint32_t j = 0; j < run.count; ++j)
-                        scratch->sector_aux[slot + j] =
-                            static_cast<std::uint32_t>(
-                                requests.size() - 1);
-                }
+        if (async) {
+            // Speculative next-hop frontier: the closest still-
+            // unexpanded candidates are the likeliest next beam; read
+            // them ahead while this hop drains. Results are a pure
+            // function of the bytes, which are identical either way.
+            std::size_t budget = 2 * params.beam_width;
+            for (const BeamEntry &entry : cands) {
+                if (budget == 0)
+                    break;
+                if (entry.expanded)
+                    continue;
+                --budget;
+                if (!reader->prefetch(sectorOfNode(entry.id),
+                                      static_cast<std::uint32_t>(spn)))
+                    break;
             }
-            if (async) {
-                // Pipelined: submit without waiting; completions are
-                // consumed below while nodes are scored.
-                scratch->tags.clear();
-                for (std::size_t r = 0; r < requests.size(); ++r)
-                    scratch->tags.push_back(r);
-                if (!requests.empty()) {
-                    ioq->submitBatch(requests.data(), requests.size(),
-                                     scratch->tags.data());
-                    ioq_outstanding += requests.size();
-                }
-                // Speculative next-hop frontier: the closest
-                // still-unexpanded candidates are the likeliest next
-                // beam; prefetch them into free stash slots while
-                // this hop drains. Mispredictions cost bounded I/O
-                // (the stash size) and zero correctness: results are
-                // a pure function of the bytes, which are identical.
-                std::size_t budget = 2 * params.beam_width;
-                for (const BeamEntry &entry : cands) {
-                    if (budget == 0)
-                        break;
-                    if (entry.expanded)
-                        continue;
-                    --budget;
-                    const std::uint64_t first = sectorOfNode(entry.id);
-                    if (spec_find(first) >= 0)
-                        continue;
-                    if (cache_ && cache_->probe(first))
-                        continue;
-                    if (std::binary_search(sectors.begin(),
-                                           sectors.end(), first))
-                        continue; // this hop reads it anyway
-                    int slot = -1;
-                    for (std::size_t sl = 0; sl < spec.size(); ++sl) {
-                        if (spec[sl].state == SpecSlot::Free) {
-                            slot = static_cast<int>(sl);
-                            break;
-                        }
-                        // Never-consumed Ready slots are
-                        // mispredictions; evict the oldest.
-                        if (spec[sl].state == SpecSlot::Ready &&
-                            !spec[sl].consumed &&
-                            (slot < 0 ||
-                             spec[sl].age <
-                                 spec[static_cast<std::size_t>(slot)]
-                                     .age))
-                            slot = static_cast<int>(sl);
-                    }
-                    if (slot < 0)
-                        break; // stash is all in-flight
-                    SpecSlot &ss = spec[static_cast<std::size_t>(slot)];
-                    ss.first = first;
-                    ss.age = hop;
-                    ss.state = SpecSlot::InFlight;
-                    ss.consumed = false;
-                    const storage::IoRequest sreq{
-                        first, static_cast<std::uint32_t>(spn),
-                        spec_bytes_of(static_cast<std::size_t>(slot))};
-                    const std::uint64_t stag =
-                        kSpecTagBase +
-                        static_cast<std::uint64_t>(slot);
-                    ioq->submitBatch(&sreq, 1, &stag);
-                    ++ioq_outstanding;
-                }
-            } else {
-                if (!requests.empty())
-                    io_->readBatch(requests.data(), requests.size(),
-                                   tls_fetch.region());
-                if (cache_) {
-                    // Publish = admit + wake any attached queries.
-                    for (std::size_t i = 0; i < miss_slots.size(); ++i)
-                        cache_->publishFetch(
-                            miss_sectors[i],
-                            buf + miss_slots[i] * kSectorBytes);
-                    // Shared sectors: the owner publishes when its
-                    // read lands; a cancelled owner means we fetch
-                    // the sector ourselves.
-                    for (const std::size_t si : shared_slots) {
-                        if (cache_->waitFetch(sectors[si],
-                                              buf + si *
-                                                        kSectorBytes) ==
-                            storage::FetchStatus::Cancelled) {
-                            const storage::IoRequest req{
-                                sectors[si], 1,
-                                buf + si * kSectorBytes};
-                            io_->readBatch(&req, 1);
-                            cache_->admit(sectors[si],
-                                          buf + si * kSectorBytes);
-                        }
-                    }
-                }
-            }
-            fetched = buf;
         }
 
+        // A beam node's first sector slot in the fetch buffer.
+        const auto slot_of = [&](VectorId node) {
+            return static_cast<std::size_t>(
+                std::lower_bound(sectors.begin(), sectors.end(),
+                                 sectorOfNode(node)) -
+                sectors.begin());
+        };
         // A beam node's record: directly in the image, or at its
-        // sector's slot in the fetch buffer (sectors are laid out in
-        // sorted order there).
+        // sector's slot in the fetch buffer.
         const auto record_of =
             [&](VectorId node) -> const std::uint8_t * {
             if (image)
                 return image + sectorOfNode(node) * kSectorBytes +
                        recordOffsetInSector(node);
-            const auto it =
-                std::lower_bound(sectors.begin(), sectors.end(),
-                                 sectorOfNode(node));
-            return fetched +
-                   static_cast<std::size_t>(it - sectors.begin()) *
-                       kSectorBytes +
+            return fetched + slot_of(node) * kSectorBytes +
                    recordOffsetInSector(node);
         };
 
@@ -1266,132 +976,24 @@ DiskAnnIndex::searchInto(const float *query,
                 process_node(node);
         } else {
             // Pipelined drain: score each node the moment its sectors
-            // are resident instead of waiting for the whole hop.
-            const auto handle_completion = [&](std::uint64_t tag) {
-                if (tag >= kSpecTagBase) {
-                    const auto sl =
-                        static_cast<std::size_t>(tag - kSpecTagBase);
-                    SpecSlot &ss = spec[sl];
-                    ss.state = SpecSlot::Ready;
-                    if (!ss.consumed)
-                        return; // pure prefetch; maybe next hop's
-                    // This hop already claimed the slot while it was
-                    // in flight: land its sectors in the fetch buffer.
-                    for (std::size_t i = 0; i < sectors.size(); ++i) {
-                        if (scratch->sector_wait[i] !=
-                                SectorWait::SpecRead ||
-                            scratch->sector_aux[i] != sl)
-                            continue;
-                        std::memcpy(buf + i * kSectorBytes,
-                                    spec_bytes_of(sl) +
-                                        (sectors[i] - ss.first) *
-                                            kSectorBytes,
-                                    kSectorBytes);
-                        if (cache_)
-                            cache_->admit(sectors[i],
-                                          buf + i * kSectorBytes);
-                        scratch->sector_wait[i] = SectorWait::Ready;
-                    }
-                    return;
-                }
-                // Hop run: its slots are contiguous from the request's
-                // destination. Publishing wakes queries attached to
-                // these sectors via single-flight.
-                const storage::IoRequest &req =
-                    requests[static_cast<std::size_t>(tag)];
-                const auto slot0 = static_cast<std::size_t>(
-                    (req.dest - buf) / kSectorBytes);
-                for (std::uint32_t j = 0; j < req.count; ++j) {
-                    scratch->sector_wait[slot0 + j] = SectorWait::Ready;
-                    if (cache_)
-                        cache_->publishFetch(sectors[slot0 + j],
-                                             buf + (slot0 + j) *
-                                                       kSectorBytes);
-                }
-            };
-            const auto node_ready = [&](VectorId node) {
-                const std::uint64_t first = sectorOfNode(node);
-                auto it = std::lower_bound(sectors.begin(),
-                                           sectors.end(), first);
-                const auto s0 = static_cast<std::size_t>(
-                    it - sectors.begin());
-                for (std::size_t s = 0; s < sectorsPerNode_; ++s)
-                    if (scratch->sector_wait[s0 + s] !=
-                        SectorWait::Ready)
-                        return false;
-                return true;
-            };
+            // land instead of waiting for the whole hop.
             scratch->node_done.assign(beam.size(), 0);
             std::size_t done_nodes = 0;
             while (done_nodes < beam.size()) {
-                bool progress = false;
-                if (ioq_outstanding > 0) {
-                    const std::size_t got = ioq->pollCompletions(
-                        scratch->done_tags.data(),
-                        scratch->done_tags.size(), 0);
-                    for (std::size_t t = 0; t < got; ++t)
-                        handle_completion(scratch->done_tags[t]);
-                    ioq_outstanding -= got;
-                    progress = got > 0;
-                }
+                bool progress = reader->poll();
                 for (std::size_t bi = 0; bi < beam.size(); ++bi) {
-                    if (scratch->node_done[bi] || !node_ready(beam[bi]))
+                    if (scratch->node_done[bi] ||
+                        !reader->ready(slot_of(beam[bi]), spn))
                         continue;
                     process_node(beam[bi]);
                     scratch->node_done[bi] = 1;
                     ++done_nodes;
                     progress = true;
                 }
-                if (progress)
-                    continue;
-                // Stalled on I/O. Prefer a bounded wait on a sector
-                // another query owns — bounded so we come back and
-                // drain our own completions, which is what keeps
-                // cross-query waits deadlock-free.
-                std::size_t shared_i = sectors.size();
-                for (std::size_t i = 0; i < sectors.size(); ++i) {
-                    if (scratch->sector_wait[i] ==
-                        SectorWait::SharedRead) {
-                        shared_i = i;
-                        break;
-                    }
-                }
-                if (shared_i < sectors.size()) {
-                    const storage::FetchStatus st = cache_->waitFetchFor(
-                        sectors[shared_i],
-                        buf + shared_i * kSectorBytes, 200);
-                    if (st == storage::FetchStatus::Cancelled) {
-                        const storage::IoRequest req{
-                            sectors[shared_i], 1,
-                            buf + shared_i * kSectorBytes};
-                        io_->readBatch(&req, 1);
-                        cache_->admit(sectors[shared_i],
-                                      buf + shared_i * kSectorBytes);
-                    }
-                    if (st != storage::FetchStatus::Timeout)
-                        scratch->sector_wait[shared_i] =
-                            SectorWait::Ready;
-                    continue;
-                }
-                ANN_ASSERT(ioq_outstanding > 0,
-                           "async beam search stalled: nodes "
-                           "unprocessed with no I/O outstanding");
-                const std::size_t got = ioq->pollCompletions(
-                    scratch->done_tags.data(),
-                    scratch->done_tags.size(), 1);
-                for (std::size_t t = 0; t < got; ++t)
-                    handle_completion(scratch->done_tags[t]);
-                ioq_outstanding -= got;
+                if (!progress)
+                    reader->wait();
             }
-            // Stash slots this hop consumed have served their purpose;
-            // unconsumed Ready slots stay for the next hop's lookup.
-            for (SpecSlot &ss : spec)
-                if (ss.state == SpecSlot::Ready && ss.consumed)
-                    ss = SpecSlot{};
         }
-        // Success: every owned sector was published above, so disarm
-        // the guard (cancelFetch on the unwind path only).
-        unpublished.clear();
         expanded_total += beam.size();
         ++hop;
         std::sort(cands.begin(), cands.end());
@@ -1509,23 +1111,12 @@ DiskAnnIndex::save(BinaryWriter &writer) const
     // Node file, in writeVector() layout (u64 byte count + raw bytes)
     // so version-3 archives stay interchangeable, but streamed
     // chunk-wise: non-memory backends never materialize the image.
-    const std::uint64_t image_bytes = io_ ? io_->sizeBytes() : 0;
-    writer.writePod<std::uint64_t>(image_bytes);
-    if (image_bytes == 0)
-        return;
-    if (const std::uint8_t *image = io_->data()) {
-        writer.writeRaw(image, static_cast<std::size_t>(image_bytes));
-        return;
-    }
-    storage::AlignedBuffer chunk;
-    std::uint8_t *buf = chunk.ensure(kStreamSectors * kSectorBytes);
-    const std::uint64_t sectors = image_bytes / kSectorBytes;
-    for (std::uint64_t s = 0; s < sectors; s += kStreamSectors) {
-        const auto count = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(kStreamSectors, sectors - s));
-        readSectors(s, count, buf, /*use_cache=*/false);
-        writer.writeRaw(buf, count * kSectorBytes);
-    }
+    writer.writePod<std::uint64_t>(io_ ? io_->sizeBytes() : 0);
+    if (io_)
+        storage::streamBackend(
+            *io_, [&](const std::uint8_t *data, std::size_t bytes) {
+                writer.writeRaw(data, bytes);
+            });
 }
 
 void
@@ -1537,13 +1128,18 @@ DiskAnnIndex::load(BinaryReader &reader)
                   version == kVersionPacked ||
                   version == kVersionEmbedded,
               "diskann archive version mismatch");
+    // Nothing read here is trusted: the beam indexes memory with these
+    // fields and with the ids inside the records, so each is checked
+    // before the index can serve a query.
     rows_ = reader.readPod<std::uint64_t>();
     dim_ = reader.readPod<std::uint64_t>();
     maxDegree_ = reader.readPod<std::uint64_t>();
-    nodeBytes_ = reader.readPod<std::uint64_t>();
-    nodesPerSector_ = reader.readPod<std::uint64_t>();
-    sectorsPerNode_ = reader.readPod<std::uint64_t>();
+    const auto node_bytes = reader.readPod<std::uint64_t>();
+    const auto nodes_per_sector = reader.readPod<std::uint64_t>();
+    const auto sectors_per_node = reader.readPod<std::uint64_t>();
     medoid_ = reader.readPod<VectorId>();
+    ANN_CHECK(medoid_ < rows_, "corrupt diskann archive (medoid ",
+              medoid_, " >= rows ", rows_, ")");
     layout_ = LayoutPolicy::IdOrder;
     nodePos_.clear();
     permSectors_ = 0;
@@ -1556,6 +1152,13 @@ DiskAnnIndex::load(BinaryReader &reader)
         if (layout_ == LayoutPolicy::PackedBfs) {
             ANN_CHECK(nodePos_.size() == rows_,
                       "corrupt diskann archive (permutation size)");
+            std::vector<std::uint8_t> taken(rows_, 0);
+            for (const std::uint32_t pos : nodePos_) {
+                ANN_CHECK(pos < rows_ && !taken[pos],
+                          "corrupt diskann archive (permutation is not "
+                          "a bijection)");
+                taken[pos] = 1;
+            }
             permSectors_ = (rows_ * sizeof(std::uint32_t) +
                             kSectorBytes - 1) /
                            kSectorBytes;
@@ -1570,6 +1173,12 @@ DiskAnnIndex::load(BinaryReader &reader)
             embeddedCodeBytes_ =
                 reader.readPod<std::uint64_t>();
     }
+    deriveRecordGeometry();
+    ANN_CHECK(node_bytes == nodeBytes_ &&
+                  nodes_per_sector == nodesPerSector_ &&
+                  sectors_per_node == sectorsPerNode_,
+              "corrupt diskann archive (record geometry disagrees with "
+              "dim, max degree and embedded codes)");
     buildParams_.layout = layout_;
     // Keep consolidate() archive-stable: a rebuild embeds codes only
     // if this archive had them.
@@ -1582,8 +1191,12 @@ DiskAnnIndex::load(BinaryReader &reader)
     buildParams_.pq.ksub = reader.readPod<std::uint64_t>();
     deltaVectors_ = reader.readVector<float>();
     deltaCount_ = reader.readPod<std::uint64_t>();
+    ANN_CHECK(deltaVectors_.size() == deltaCount_ * dim_,
+              "corrupt diskann archive (delta store size)");
     {
         const auto tombstones = reader.readVector<std::uint8_t>();
+        ANN_CHECK(tombstones.size() == rows_ + deltaCount_,
+                  "corrupt diskann archive (tombstone count)");
         deleted_.assign(tombstones.size(), false);
         deletedCount_ = 0;
         for (std::size_t i = 0; i < tombstones.size(); ++i) {
@@ -1595,20 +1208,68 @@ DiskAnnIndex::load(BinaryReader &reader)
     }
     pq_.load(reader);
     pqCodes_ = reader.readVector<std::uint8_t>();
+    ANN_CHECK(pqCodes_.size() == rows_ * pq_.codeSize(),
+              "corrupt diskann archive (code array size)");
+    ANN_CHECK(embeddedCodeBytes_ == 0 ||
+                  embeddedCodeBytes_ == pq_.codeSize(),
+              "corrupt diskann archive (embedded code size)");
     // Stream the node file straight into the configured backend
-    // instead of materializing it (readVector layout, see save()).
+    // instead of materializing it (readVector layout, see save()),
+    // checking every record as it passes. Data chunks hold whole
+    // records, so each record is checked from one chunk.
     const auto image_bytes = reader.readPod<std::uint64_t>();
     ANN_CHECK(image_bytes == numSectors() * kSectorBytes,
               "corrupt diskann archive");
     auto sink = storage::makeIoSink(effectiveIoOptions(), image_bytes);
-    std::vector<std::uint8_t> chunk(kStreamSectors * kSectorBytes);
-    std::uint64_t remaining = image_bytes;
-    while (remaining > 0) {
-        const auto step = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk.size(), remaining));
-        reader.readRaw(chunk.data(), step);
-        sink->append(chunk.data(), step);
-        remaining -= step;
+    const std::size_t data_chunk =
+        nodesPerSector_ > 0 ? kStreamSectors
+                            : std::max<std::size_t>(
+                                  1, kStreamSectors / sectorsPerNode_) *
+                                  sectorsPerNode_;
+    std::vector<std::uint8_t> chunk(
+        std::max(kStreamSectors, data_chunk) * kSectorBytes);
+    std::size_t checked = 0; // record positions checked so far
+    const auto check_record = [&](const std::uint8_t *record) {
+        std::uint32_t degree = 0;
+        std::memcpy(&degree, record + dim_ * sizeof(float),
+                    sizeof(degree));
+        ANN_CHECK(degree <= maxDegree_,
+                  "corrupt diskann archive (record degree ", degree,
+                  " > max degree ", maxDegree_, ")");
+        for (std::uint32_t j = 0; j < degree; ++j) {
+            std::uint32_t id = 0;
+            std::memcpy(&id,
+                        record + dim_ * sizeof(float) +
+                            (1 + j) * sizeof(id),
+                        sizeof(id));
+            ANN_CHECK(id < rows_, "corrupt diskann archive (neighbour id ",
+                      id, " >= rows ", rows_, ")");
+        }
+    };
+    for (std::uint64_t s = 0; s < numSectors();) {
+        const bool header = s < dataStartSector();
+        const auto step = static_cast<std::size_t>(std::min<std::uint64_t>(
+            header ? std::min<std::uint64_t>(kStreamSectors,
+                                             dataStartSector() - s)
+                   : data_chunk,
+            numSectors() - s));
+        reader.readRaw(chunk.data(), step * kSectorBytes);
+        if (!header) {
+            const std::size_t records = std::min<std::size_t>(
+                rows_ - checked, nodesPerSector_ > 0
+                                     ? step * nodesPerSector_
+                                     : step / sectorsPerNode_);
+            for (std::size_t r = 0; r < records; ++r)
+                check_record(
+                    chunk.data() +
+                    (nodesPerSector_ > 0
+                         ? r / nodesPerSector_ * kSectorBytes +
+                               r % nodesPerSector_ * nodeBytes_
+                         : r * sectorsPerNode_ * kSectorBytes));
+            checked += records;
+        }
+        sink->append(chunk.data(), step * kSectorBytes);
+        s += step;
     }
     io_ = sink->finish();
     attachCache();

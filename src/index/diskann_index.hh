@@ -209,6 +209,9 @@ class DiskAnnIndex
 
   private:
     storage::IoOptions effectiveIoOptions() const;
+    /** nodeBytes_ / nodesPerSector_ / sectorsPerNode_ from dim_,
+     *  maxDegree_ and embeddedCodeBytes_. */
+    void deriveRecordGeometry();
     /** Hand a fully built image to the configured backend. */
     void adoptImage(std::vector<std::uint8_t> image);
     /**
@@ -220,21 +223,10 @@ class DiskAnnIndex
     std::size_t recordOffsetInSector(VectorId node) const;
     /**
      * Read one node record (zero-copy when memory-resident, else one
-     * sector read into @p scratch).
+     * cached read into @p scratch).
      */
     const std::uint8_t *fetchRecord(VectorId node,
                                     storage::AlignedBuffer &scratch) const;
-    /**
-     * The single entry point for every non-beam read of the node
-     * file: @p count sectors from @p first into @p dest. With
-     * @p use_cache the sector cache partitions the span into hits and
-     * miss runs and admits the misses, so load-path reads share the
-     * beam path's I/O accounting; bulk streams (save/setIoMode/warm
-     * BFS) pass false and bypass it — admitting a full-file stream
-     * would wash the cache out.
-     */
-    void readSectors(std::uint64_t first, std::uint32_t count,
-                     std::uint8_t *dest, bool use_cache) const;
     /** Bytes of the PQ codebooks (always DRAM-resident). */
     std::size_t codebookBytes() const;
     /** pqCodes_ permuted into record-position (slot) order. */

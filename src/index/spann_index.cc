@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/error.hh"
 #include "common/hotpath.hh"
@@ -13,6 +14,7 @@
 #include "index/diskann_index.hh" // kSectorBytes
 #include "index/search_scratch.hh"
 #include "index/visit_table.hh"
+#include "storage/sector_reader.hh"
 
 namespace ann {
 
@@ -35,15 +37,10 @@ struct SpannScratch
     TopK centroid_top{1};
     TopK top{1};
     SearchResult probes;
-    std::vector<std::size_t> fetch_offset;
-    std::vector<storage::IoRequest> requests;
+    /** Per probe: its list's first sector slot in the fetch buffer. */
+    std::vector<std::size_t> first_slot;
+    std::vector<storage::SectorSpan> spans;
     VisitTable seen;
-    /** Async path ($ANN_ASYNC_BEAM): requests[i] with i <
-     *  probe_req_end[p] belong to probes 0..p. */
-    std::vector<std::size_t> probe_req_end;
-    std::vector<std::uint8_t> req_done;
-    std::vector<std::uint64_t> tags;
-    std::vector<std::uint64_t> done_tags;
 };
 
 thread_local SpannScratch tls_scratch;
@@ -185,24 +182,7 @@ SpannIndex::setIoMode(const storage::IoOptions &options)
     ioPinned_ = true;
     if (!io_)
         return;
-    const std::uint64_t size = io_->sizeBytes();
-    auto sink = storage::makeIoSink(options, size);
-    if (const std::uint8_t *image = io_->data()) {
-        sink->append(image, static_cast<std::size_t>(size));
-    } else {
-        constexpr std::size_t kStreamSectors = 1024;
-        storage::AlignedBuffer chunk;
-        std::uint8_t *buf = chunk.ensure(kStreamSectors * kSectorBytes);
-        const std::uint64_t sectors = size / kSectorBytes;
-        for (std::uint64_t s = 0; s < sectors; s += kStreamSectors) {
-            const auto count = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(kStreamSectors, sectors - s));
-            const storage::IoRequest req{s, count, buf};
-            io_->readBatch(&req, 1);
-            sink->append(buf, count * kSectorBytes);
-        }
-    }
-    io_ = sink->finish();
+    io_ = storage::copyBackend(*io_, options);
     attachCache();
 }
 
@@ -271,63 +251,43 @@ SpannIndex::searchInto(const float *query,
     centroid_top.drainInto(probes);
 
     // Storage phase: all probed lists fetched as one batched
-    // submission; the memory backend serves the image zero-copy
-    // instead. With a sector cache attached, each list's sectors are
-    // partitioned into hits (copied in place) and miss runs, and only
-    // the misses reach the backend — and the recorder, so the
-    // simulator charges exactly the I/O that was issued.
+    // submission, one span per list; the memory backend serves the
+    // image zero-copy instead. With a sector cache attached, only the
+    // misses reach the backend — and the recorder, so the simulator
+    // charges exactly the I/O that was issued. Under $ANN_ASYNC_BEAM
+    // the submission is pipelined: each list is scanned as soon as
+    // ITS reads land instead of stalling on the slowest probe. Lists
+    // are scanned in probe order either way, so results are
+    // bit-identical.
     ANN_ASSERT(io_ != nullptr, "posting-list file not attached");
     const std::uint8_t *image = io_->data();
+    const bool async = !image && storage::asyncBeamEnabled();
+    std::optional<storage::SectorReader> reader;
     const std::uint8_t *fetched = nullptr;
-    std::vector<std::size_t> &fetch_offset = scratch->fetch_offset;
-    std::vector<storage::IoRequest> &requests = scratch->requests;
-    fetch_offset.clear();
-    requests.clear();
-    scratch->probe_req_end.clear();
+    std::vector<std::size_t> &first_slot = scratch->first_slot;
     std::vector<SectorRead> reads; // trace-mode only (moved away)
     if (!image) {
-        std::size_t total = 0;
-        fetch_offset.reserve(probes.size());
+        first_slot.clear();
+        std::size_t slots = 0;
         for (const Neighbor &probe : probes) {
-            fetch_offset.push_back(total);
-            total += std::size_t{listSectorCount_[probe.id]} *
-                     kSectorBytes;
+            first_slot.push_back(slots);
+            slots += listSectorCount_[probe.id];
         }
-        std::uint8_t *buf = tls_fetch.ensure(total);
-        requests.reserve(probes.size());
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-            const std::size_t list = probes[p].id;
-            const std::uint64_t start = listSectorStart_[list];
-            const std::size_t count = listSectorCount_[list];
-            std::uint8_t *dest = buf + fetch_offset[p];
-            std::size_t s = 0;
-            while (s < count) {
-                if (cache_ &&
-                    cache_->lookup(start + s,
-                                   dest + s * kSectorBytes)) {
-                    ++s;
-                    continue;
-                }
-                // Extend the miss run until the list ends or a
-                // cached sector (copied by the probe itself) stops it.
-                std::size_t e = s + 1;
-                while (e < count &&
-                       !(cache_ &&
-                         cache_->lookup(start + e,
-                                        dest + e * kSectorBytes)))
-                    ++e;
-                requests.push_back(
-                    {start + s, static_cast<std::uint32_t>(e - s),
-                     dest + s * kSectorBytes});
-                s = e + (e < count ? 1 : 0);
-            }
-            scratch->probe_req_end.push_back(requests.size());
-        }
-        if (recorder) {
-            reads.reserve(requests.size());
-            for (const storage::IoRequest &req : requests)
+        std::uint8_t *buf = tls_fetch.ensure(slots * kSectorBytes);
+        std::vector<storage::SectorSpan> &spans = scratch->spans;
+        spans.clear();
+        for (std::size_t p = 0; p < probes.size(); ++p)
+            spans.push_back({listSectorStart_[probes[p].id],
+                             listSectorCount_[probes[p].id],
+                             buf + first_slot[p] * kSectorBytes});
+        reader.emplace(*io_, cache_.get());
+        if (async)
+            reader->submit(spans.data(), spans.size());
+        else
+            reader->read(spans.data(), spans.size(), tls_fetch.region());
+        if (recorder)
+            for (const storage::IoRequest &req : reader->issued())
                 reads.push_back({req.sector, req.count});
-        }
         fetched = buf;
     } else if (recorder) {
         reads.reserve(nprobe);
@@ -342,48 +302,6 @@ SpannIndex::searchInto(const float *query,
         recorder->issueReads(std::move(reads));
     }
 
-    // Async pipelined storage phase ($ANN_ASYNC_BEAM): submit every
-    // probed list now, then scan each list as soon as ITS reads land
-    // instead of stalling on the slowest probe. Lists are scanned in
-    // probe order either way, so results are bit-identical.
-    const bool async =
-        !image && !requests.empty() && storage::asyncBeamEnabled();
-    std::unique_ptr<storage::IoQueue> ioq;
-    std::size_t ioq_outstanding = 0;
-    const auto admit_request = [&](const storage::IoRequest &req) {
-        if (!cache_)
-            return;
-        for (std::uint32_t j = 0; j < req.count; ++j)
-            cache_->admit(req.sector + j,
-                          req.dest + std::size_t{j} * kSectorBytes);
-    };
-    if (!image && !requests.empty()) {
-        if (async) {
-            ioq = io_->openQueue();
-            scratch->tags.clear();
-            for (std::size_t r = 0; r < requests.size(); ++r)
-                scratch->tags.push_back(r);
-            scratch->req_done.assign(requests.size(), 0);
-            scratch->done_tags.resize(
-                std::min<std::size_t>(requests.size(), 128));
-            ioq->submitBatch(requests.data(), requests.size(),
-                             scratch->tags.data());
-            ioq_outstanding = requests.size();
-        } else {
-            io_->readBatch(requests.data(), requests.size(),
-                           tls_fetch.region());
-            for (const storage::IoRequest &req : requests)
-                admit_request(req);
-        }
-    }
-    // All requests of probes 0..p completed?
-    const auto probe_ready = [&](std::size_t p) {
-        for (std::size_t r = 0; r < scratch->probe_req_end[p]; ++r)
-            if (!scratch->req_done[r])
-                return false;
-        return true;
-    };
-
     // Scan phase: full-precision over the fetched lists; replicas
     // deduplicate through the epoch-reset visit table (same outcome
     // as the seed's per-query vector<bool>, no allocation).
@@ -392,27 +310,12 @@ SpannIndex::searchInto(const float *query,
     VisitTable &seen = scratch->seen;
     seen.reset(rows_);
     for (std::size_t p = 0; p < probes.size(); ++p) {
-        if (async) {
-            while (!probe_ready(p)) {
-                ANN_ASSERT(ioq_outstanding > 0,
-                           "spann async scan stalled: probe "
-                           "unfetched with no I/O outstanding");
-                const std::size_t got = ioq->pollCompletions(
-                    scratch->done_tags.data(),
-                    scratch->done_tags.size(), 1);
-                for (std::size_t t = 0; t < got; ++t) {
-                    const auto r = static_cast<std::size_t>(
-                        scratch->done_tags[t]);
-                    scratch->req_done[r] = 1;
-                    admit_request(requests[r]);
-                }
-                ioq_outstanding -= got;
-            }
-        }
         const std::size_t list = probes[p].id;
+        if (async)
+            reader->waitReady(first_slot[p], listSectorCount_[list]);
         const std::uint8_t *entries =
             image ? image + listSectorStart_[list] * kSectorBytes
-                  : fetched + fetch_offset[p];
+                  : fetched + first_slot[p] * kSectorBytes;
         const std::uint64_t count = listCounts_[list];
         for (std::uint64_t i = 0; i < count; ++i) {
             const std::uint8_t *entry = entries + i * entryBytes();

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hh"
+#include "storage/sector_reader.hh"
 
 namespace ann {
 
@@ -22,29 +23,10 @@ struct CodeFetchScratch
 {
     std::vector<std::uint64_t> sectors;
     storage::AlignedBuffer bytes;
-    std::vector<std::size_t> shared_slots;
-    std::vector<std::uint64_t> unpublished;
-    std::vector<std::uint64_t> miss_sectors;
-    std::vector<std::size_t> miss_slots;
-    std::vector<storage::IoRun> runs;
-    std::vector<storage::IoRequest> requests;
+    std::vector<storage::SectorSpan> spans;
 };
 
 thread_local CodeFetchScratch tls_code_fetch;
-
-/** Cancel still-unpublished single-flight claims on unwind. */
-struct CodeFlightGuard
-{
-    storage::SectorCache *cache;
-    std::vector<std::uint64_t> &owned;
-    ~CodeFlightGuard()
-    {
-        if (cache)
-            for (const std::uint64_t sector : owned)
-                cache->cancelFetch(sector);
-        owned.clear();
-    }
-};
 
 } // namespace
 
@@ -155,65 +137,12 @@ PqCodeStore::fetchSlots(const std::uint64_t *slots, std::size_t n,
     std::uint8_t *buf = scratch.bytes.ensure(
         sectors.size() * storage::kIoSectorBytes);
 
-    // Same discipline as the graph fetch path: cache hits copy in
-    // place, misses claim single-flight ownership and go out as one
-    // batched submission of coalesced runs; shared sectors wait for
-    // the owning query's publish.
-    scratch.shared_slots.clear();
-    scratch.unpublished.clear();
-    scratch.miss_sectors.clear();
-    scratch.miss_slots.clear();
-    CodeFlightGuard guard{cache_.get(), scratch.unpublished};
-    for (std::size_t i = 0; i < sectors.size(); ++i) {
-        std::uint8_t *dest = buf + i * storage::kIoSectorBytes;
-        if (cache_) {
-            if (cache_->lookup(sectors[i], dest))
-                continue;
-            const storage::FetchClaim claim =
-                cache_->beginFetch(sectors[i], dest);
-            if (claim == storage::FetchClaim::Cached)
-                continue;
-            if (claim == storage::FetchClaim::Shared) {
-                scratch.shared_slots.push_back(i);
-                continue;
-            }
-            scratch.unpublished.push_back(sectors[i]);
-        }
-        scratch.miss_sectors.push_back(sectors[i]);
-        scratch.miss_slots.push_back(i);
-    }
-    storage::coalesceSectors(scratch.miss_sectors, scratch.runs);
-    scratch.requests.clear();
-    for (const storage::IoRun &run : scratch.runs) {
-        const auto slot = static_cast<std::size_t>(
-            std::lower_bound(sectors.begin(), sectors.end(),
-                             run.sector) -
-            sectors.begin());
-        scratch.requests.push_back(
-            {run.sector, run.count,
-             buf + slot * storage::kIoSectorBytes});
-    }
-    if (!scratch.requests.empty())
-        io_->readBatch(scratch.requests.data(),
-                       scratch.requests.size());
-    if (cache_) {
-        for (std::size_t i = 0; i < scratch.miss_slots.size(); ++i)
-            cache_->publishFetch(
-                scratch.miss_sectors[i],
-                buf + scratch.miss_slots[i] *
-                          storage::kIoSectorBytes);
-        for (const std::size_t si : scratch.shared_slots) {
-            std::uint8_t *dest =
-                buf + si * storage::kIoSectorBytes;
-            if (cache_->waitFetch(sectors[si], dest) ==
-                storage::FetchStatus::Cancelled) {
-                const storage::IoRequest req{sectors[si], 1, dest};
-                io_->readBatch(&req, 1);
-                cache_->admit(sectors[si], dest);
-            }
-        }
-    }
-    scratch.unpublished.clear();
+    // The graph fetch path's reader: cache hits copy in place, misses
+    // dedupe single-flight and go out as one batched submission of
+    // coalesced runs.
+    storage::coalesceSpans(sectors, buf, scratch.spans);
+    storage::SectorReader(*io_, cache_.get())
+        .read(scratch.spans.data(), scratch.spans.size());
 
     for (std::size_t i = 0; i < n; ++i) {
         const auto it =
@@ -238,25 +167,18 @@ std::vector<std::uint8_t>
 PqCodeStore::exportSlotOrder() const
 {
     std::vector<std::uint8_t> codes(count_ * codeSize_);
-    storage::AlignedBuffer chunk;
-    std::uint8_t *buf =
-        chunk.ensure(kStreamSectors * storage::kIoSectorBytes);
-    for (std::size_t s = 0; s < fileSectors_; s += kStreamSectors) {
-        const auto n = static_cast<std::uint32_t>(
-            std::min(kStreamSectors, fileSectors_ - s));
-        const storage::IoRequest req{s, n, buf};
-        io_->readBatch(&req, 1);
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::size_t slot0 = (s + j) * codesPerSector_;
-            if (slot0 >= count_)
-                break;
-            const std::size_t slots =
-                std::min(codesPerSector_, count_ - slot0);
-            std::memcpy(codes.data() + slot0 * codeSize_,
-                        buf + j * storage::kIoSectorBytes,
-                        slots * codeSize_);
-        }
-    }
+    std::size_t slot0 = 0; // first slot of the next sector streamed
+    storage::streamBackend(
+        *io_, [&](const std::uint8_t *data, std::size_t bytes) {
+            for (std::size_t off = 0; off < bytes && slot0 < count_;
+                 off += storage::kIoSectorBytes) {
+                const std::size_t slots =
+                    std::min(codesPerSector_, count_ - slot0);
+                std::memcpy(codes.data() + slot0 * codeSize_, data + off,
+                            slots * codeSize_);
+                slot0 += slots;
+            }
+        });
     return codes;
 }
 

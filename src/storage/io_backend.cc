@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -20,7 +21,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "common/thread_pool.hh"
 
 namespace ann::storage {
 
@@ -106,15 +106,6 @@ std::vector<IoRun>
 coalesceSectors(const std::vector<std::uint64_t> &sorted_unique)
 {
     std::vector<IoRun> runs;
-    coalesceSectors(sorted_unique, runs);
-    return runs;
-}
-
-void
-coalesceSectors(const std::vector<std::uint64_t> &sorted_unique,
-                std::vector<IoRun> &runs)
-{
-    runs.clear();
     for (std::size_t i = 0; i < sorted_unique.size();) {
         std::size_t j = i + 1;
         while (j < sorted_unique.size() &&
@@ -124,92 +115,65 @@ coalesceSectors(const std::vector<std::uint64_t> &sorted_unique,
             {sorted_unique[i], static_cast<std::uint32_t>(j - i)});
         i = j;
     }
+    return runs;
 }
 
 namespace {
 
-std::atomic<bool> &
-uringRegisterFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_URING_REG", true)};
-    return flag;
-}
+constexpr char kUringReg[] = "ANN_URING_REG";
+constexpr char kAsyncBeam[] = "ANN_ASYNC_BEAM";
+constexpr char kIoPooled[] = "ANN_IO_POOLED";
+constexpr char kAsyncShuffle[] = "ANN_ASYNC_SHUFFLE";
 
 } // namespace
 
 bool
 uringRegisterEnabled()
 {
-    return uringRegisterFlag().load(std::memory_order_relaxed);
+    return envToggle<kUringReg, true>().load(std::memory_order_relaxed);
 }
 
 void
 setUringRegisterEnabled(bool enabled)
 {
-    uringRegisterFlag().store(enabled, std::memory_order_relaxed);
+    envToggle<kUringReg, true>().store(enabled, std::memory_order_relaxed);
 }
-
-namespace {
-
-std::atomic<bool> &
-asyncBeamFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_ASYNC_BEAM", false)};
-    return flag;
-}
-
-std::atomic<bool> &
-ioPooledFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_IO_POOLED", false)};
-    return flag;
-}
-
-} // namespace
 
 bool
 asyncBeamEnabled()
 {
-    return asyncBeamFlag().load(std::memory_order_relaxed);
+    return envToggle<kAsyncBeam, false>().load(std::memory_order_relaxed);
 }
 
 void
 setAsyncBeamEnabled(bool enabled)
 {
-    asyncBeamFlag().store(enabled, std::memory_order_relaxed);
+    envToggle<kAsyncBeam, false>().store(enabled, std::memory_order_relaxed);
 }
 
 bool
 ioPooledEnabled()
 {
-    return ioPooledFlag().load(std::memory_order_relaxed);
+    return envToggle<kIoPooled, false>().load(std::memory_order_relaxed);
 }
 
 void
 setIoPooledEnabled(bool enabled)
 {
-    ioPooledFlag().store(enabled, std::memory_order_relaxed);
+    envToggle<kIoPooled, false>().store(enabled, std::memory_order_relaxed);
 }
-
-namespace {
-std::atomic<bool> &
-asyncShuffleFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_ASYNC_SHUFFLE", false)};
-    return flag;
-}
-} // namespace
 
 bool
 asyncShuffleDelivery()
 {
-    return asyncShuffleFlag().load(std::memory_order_relaxed);
+    return envToggle<kAsyncShuffle, false>().load(std::memory_order_relaxed);
 }
 
 void
 setAsyncShuffleDelivery(bool enabled)
 {
-    asyncShuffleFlag().store(enabled, std::memory_order_relaxed);
+    envToggle<kAsyncShuffle, false>().store(
+        enabled, std::memory_order_relaxed);
 }
 
 // ------------------------------------------------- effective-QD gauge
@@ -462,23 +426,19 @@ class MemoryIoBackend final : public IoBackend
 // --------------------------------------------------------------- file
 
 /**
- * One pread-served read, shared by the sync batch path and the async
- * worker pool. @p sim_latency_us sleeps first, emulating device
- * access latency on storage that is too fast to show queue-depth
- * effects (see IoOptions::sim_latency_us).
+ * One pread-served read of the file backend's worker pool.
+ * @p sim_latency_us sleeps first, emulating device access latency on
+ * storage that is too fast to show queue-depth effects (see
+ * IoOptions::sim_latency_us).
  */
-void
-fileReadOne(int fd, std::uint64_t size, unsigned sim_latency_us,
-            const IoRequest &req)
+bool
+fileReadOne(int fd, unsigned sim_latency_us, const IoRequest &req)
 {
-    const std::uint64_t offset = req.sector * kIoSectorBytes;
-    const std::size_t bytes = req.count * kIoSectorBytes;
-    ANN_CHECK(offset + bytes <= size, "read past end of node file");
     if (sim_latency_us > 0)
         std::this_thread::sleep_for(
             std::chrono::microseconds(sim_latency_us));
-    ANN_CHECK(ioPreadFull(fd, req.dest, bytes, offset),
-              "pread failed on node file: ", std::strerror(errno));
+    return ioPreadFull(fd, req.dest, req.count * kIoSectorBytes,
+                       req.sector * kIoSectorBytes);
 }
 
 /** Per-IoQueue completion box the shared worker pool posts into. */
@@ -492,18 +452,16 @@ struct FileAsyncState
 };
 
 /**
- * The emulated async engine of the file backend: a worker pool
- * (shared by every queue the backend opens) runs the preads and posts
- * completions into each queue's box. Workers block in pread, not on
- * CPU, so overlap works even single-core — the async twin of the
- * sync path's queue-depth-sized pread pool.
+ * The file backend's one I/O worker pool, shared by every queue the
+ * backend opens (blocking readBatch() calls included): workers run
+ * the preads and post completions into each queue's box. Workers
+ * block in pread, not on CPU, so overlap works even single-core.
  */
 class FileAsyncEngine
 {
   public:
-    FileAsyncEngine(int fd, std::uint64_t size, unsigned sim_latency_us,
-                    std::size_t workers)
-        : fd_(fd), size_(size), simLatencyUs_(sim_latency_us)
+    FileAsyncEngine(int fd, unsigned sim_latency_us, std::size_t workers)
+        : fd_(fd), simLatencyUs_(sim_latency_us)
     {
         workers_.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w)
@@ -554,25 +512,20 @@ class FileAsyncEngine
                 op = work_.front();
                 work_.pop_front();
             }
-            bool ok = true;
-            try {
-                fileReadOne(fd_, size_, simLatencyUs_, op.req);
-            } catch (const std::exception &) {
-                ok = false; // surfaced to the consumer on delivery
-            }
+            // A failure is surfaced to the consumer on delivery.
+            const bool ok = fileReadOne(fd_, simLatencyUs_, op.req);
             ioGaugeComplete(1);
-            {
-                std::lock_guard<std::mutex> lock(op.owner->mutex);
-                op.owner->ready.push_back(op.tag);
-                op.owner->outstanding--;
-                op.owner->failed = op.owner->failed || !ok;
-            }
+            // Notify under the lock: the owning queue may be destroyed
+            // the moment it observes outstanding == 0.
+            std::lock_guard<std::mutex> lock(op.owner->mutex);
+            op.owner->ready.push_back(op.tag);
+            op.owner->outstanding--;
+            op.owner->failed = op.owner->failed || !ok;
             op.owner->cv.notify_all();
         }
     }
 
     int fd_;
-    std::uint64_t size_;
     unsigned simLatencyUs_;
     std::mutex mutex_;
     std::condition_variable cv_;
@@ -585,7 +538,8 @@ class FileAsyncEngine
 class FileAsyncQueue final : public IoQueue
 {
   public:
-    explicit FileAsyncQueue(FileAsyncEngine &engine) : engine_(engine)
+    FileAsyncQueue(FileAsyncEngine &engine, std::uint64_t size)
+        : engine_(engine), size_(size)
     {
     }
 
@@ -601,8 +555,13 @@ class FileAsyncQueue final : public IoQueue
                 const std::uint64_t *tags) override
     {
         std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
+            ANN_CHECK((requests[i].sector + requests[i].count) *
+                              kIoSectorBytes <=
+                          size_,
+                      "read past end of node file");
             sectors += requests[i].count;
+        }
         ioGaugeSubmit(n, sectors);
         {
             std::lock_guard<std::mutex> lock(state_.mutex);
@@ -620,22 +579,21 @@ class FileAsyncQueue final : public IoQueue
         state_.cv.wait(lock, [&] {
             return state_.ready.size() >= min_complete;
         });
-        ANN_CHECK(!state_.failed, "async pread failed on node file");
+        ANN_CHECK(!state_.failed, "pread failed on node file");
         return deliverReady(state_.ready, out, max, min_complete);
     }
 
   private:
     FileAsyncEngine &engine_;
+    std::uint64_t size_;
     FileAsyncState state_;
 };
 
 /**
- * pread(2)-served node file. Batches overlap through a dedicated I/O
- * pool sized by queue depth, not core count: a thread blocked in
- * pread consumes no CPU, so overlap pays off even on one core (where
- * the CPU-sized shared pool would run everything inline). chunk=1
- * means each pool thread claims one request at a time, capping
- * in-flight reads at the pool size.
+ * pread(2)-served node file. Every read, blocking or not, runs on one
+ * worker pool sized by queue depth, not core count: a thread blocked
+ * in pread consumes no CPU, so overlap pays off even on one core, and
+ * the pool size caps the reads in flight.
  */
 class FileIoBackend final : public IoBackend
 {
@@ -658,58 +616,23 @@ class FileIoBackend final : public IoBackend
     std::uint64_t sizeBytes() const override { return size_; }
     bool directIo() const override { return direct_; }
 
-    void
-    readBatch(const IoRequest *requests, std::size_t n) override
-    {
-        if (n == 0)
-            return;
-        std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            sectors += requests[i].count;
-        ioGaugeSubmit(n, sectors);
-        if (queueDepth_ <= 1 || n == 1) {
-            for (std::size_t i = 0; i < n; ++i)
-                readOne(requests[i]);
-            ioGaugeComplete(n);
-            return;
-        }
-        std::call_once(poolOnce_, [this] {
-            ioPool_ = std::make_unique<ThreadPool>(
-                std::min<std::size_t>(queueDepth_, 16));
-        });
-        ioPool_->parallelFor(
-            n, 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i)
-                    readOne(requests[i]);
-            });
-        ioGaugeComplete(n);
-    }
-
     std::unique_ptr<IoQueue>
     openQueue() override
     {
         std::call_once(engineOnce_, [this] {
             asyncEngine_ = std::make_unique<FileAsyncEngine>(
-                fd_, size_, simLatencyUs_,
+                fd_, simLatencyUs_,
                 std::min<std::size_t>(queueDepth_, 16));
         });
-        return std::make_unique<FileAsyncQueue>(*asyncEngine_);
+        return std::make_unique<FileAsyncQueue>(*asyncEngine_, size_);
     }
 
   private:
-    void
-    readOne(const IoRequest &req) const
-    {
-        fileReadOne(fd_, size_, simLatencyUs_, req);
-    }
-
     int fd_;
     std::uint64_t size_;
     unsigned queueDepth_;
     bool direct_;
     unsigned simLatencyUs_;
-    std::unique_ptr<ThreadPool> ioPool_;
-    std::once_flag poolOnce_;
     std::unique_ptr<FileAsyncEngine> asyncEngine_;
     std::once_flag engineOnce_;
 };
@@ -848,6 +771,24 @@ class FileIoSink final : public IoSink
 
 } // namespace
 
+void
+IoBackend::readBatch(const IoRequest *requests, std::size_t n)
+{
+    // Tags are opaque to the queue; this drain only counts them.
+    static constexpr std::uint64_t kTags[64] = {};
+    if (n == 0)
+        return;
+    const std::unique_ptr<IoQueue> queue = openQueue();
+    for (std::size_t i = 0; i < n; i += std::size(kTags))
+        queue->submitBatch(requests + i,
+                           std::min(std::size(kTags), n - i), kTags);
+    std::uint64_t done[std::size(kTags)];
+    for (std::size_t left = n; left > 0;) {
+        const std::size_t want = std::min(std::size(done), left);
+        left -= queue->pollCompletions(done, want, want);
+    }
+}
+
 std::unique_ptr<IoQueue>
 IoBackend::openQueue()
 {
@@ -866,6 +807,40 @@ makeIoSink(const IoOptions &options, std::uint64_t total_bytes)
     if (options.kind == IoBackendKind::Memory)
         return std::make_unique<MemoryIoSink>(total_bytes);
     return std::make_unique<FileIoSink>(options, total_bytes);
+}
+
+void
+streamBackend(
+    IoBackend &backend,
+    const std::function<void(const std::uint8_t *, std::size_t)> &consume)
+{
+    if (const std::uint8_t *image = backend.data()) {
+        consume(image, static_cast<std::size_t>(backend.sizeBytes()));
+        return;
+    }
+    constexpr std::uint64_t kChunkSectors = 1024;
+    AlignedBuffer chunk;
+    std::uint8_t *buf = chunk.ensure(kChunkSectors * kIoSectorBytes);
+    const std::uint64_t sectors = backend.sizeBytes() / kIoSectorBytes;
+    for (std::uint64_t s = 0; s < sectors; s += kChunkSectors) {
+        const IoRequest req{
+            s,
+            static_cast<std::uint32_t>(
+                std::min(kChunkSectors, sectors - s)),
+            buf};
+        backend.readBatch(&req, 1);
+        consume(buf, req.count * kIoSectorBytes);
+    }
+}
+
+std::unique_ptr<IoBackend>
+copyBackend(IoBackend &from, const IoOptions &options)
+{
+    auto sink = makeIoSink(options, from.sizeBytes());
+    streamBackend(from, [&](const std::uint8_t *data, std::size_t bytes) {
+        sink->append(data, bytes);
+    });
+    return sink->finish();
 }
 
 } // namespace ann::storage

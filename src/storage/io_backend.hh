@@ -17,9 +17,8 @@
  *   memory  the seed behaviour: the node file stays a resident byte
  *           vector and readers get a zero-copy pointer (data()).
  *   file    the node file is spilled to disk (O_DIRECT when the
- *           filesystem supports it) and every batch is served by
- *           pread(2), overlapped through ann::ThreadPool when the
- *           queue depth allows.
+ *           filesystem supports it) and every read is a pread(2) on
+ *           the backend's one I/O worker pool, sized by queue depth.
  *   uring   batched async submission through io_uring: one SQE per
  *           sector run, a queue-depth-sized submission window, and
  *           completion reaping without per-read syscalls. Built on
@@ -37,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,8 +68,8 @@ struct IoOptions
     IoBackendKind kind = IoBackendKind::Memory;
     /**
      * Submission window: SQEs in flight per io_uring batch, or the
-     * pread overlap width of the file backend (1 = strictly serial
-     * single-request reads).
+     * pread worker count of the file backend (1 = strictly serial
+     * single-request reads; capped at 16).
      */
     unsigned queue_depth = 32;
     /** Directory for spilled node files; empty = $ANN_CACHE_DIR. */
@@ -153,16 +153,12 @@ struct IoRun
 
 /**
  * Merge a sorted, de-duplicated sector list into contiguous runs
- * (what the kernel would do under request plugging). Shared by the
- * beam-search fetch path and the trace recorder so the real and
- * simulated request streams have identical shapes.
+ * (what the kernel would do under request plugging) — the shape the
+ * trace recorder charges for reads served from a memory image, where
+ * no SectorReader issues them.
  */
 std::vector<IoRun>
 coalesceSectors(const std::vector<std::uint64_t> &sorted_unique);
-
-/** In-place overload for reused scratch: @p runs is overwritten. */
-void coalesceSectors(const std::vector<std::uint64_t> &sorted_unique,
-                     std::vector<IoRun> &runs);
 
 /**
  * A registration-eligible scratch region (the io_uring fast path
@@ -259,8 +255,8 @@ void ioGaugeComplete(std::size_t ops);
  * pipelined beam search runs on.
  *
  * Implemented natively on io_uring (SQE submission without waiting,
- * CQ reaping on poll); emulated on the file backend (a shared worker
- * pool runs the preads and posts per-queue completions) and on the
+ * CQ reaping on poll); on the file backend by its worker pool, which
+ * runs the preads and posts per-queue completions; emulated on the
  * memory backend (ops complete at submit). One queue serves one
  * consumer thread: submitBatch()/pollCompletions() are not thread-
  * safe against each other, but any number of queues may be open
@@ -293,7 +289,11 @@ class IoQueue
                                         std::size_t min_complete) = 0;
 };
 
-/** Serves batched whole-sector reads of one node file. */
+/**
+ * Serves batched whole-sector reads of one node file. Implementations
+ * override at least one of readBatch() and openQueue(): each base
+ * version is written in terms of the other.
+ */
 class IoBackend
 {
   public:
@@ -314,9 +314,10 @@ class IoBackend
     /**
      * Issue @p n sector reads as one batched submission and block
      * until every buffer is filled. Safe to call concurrently from
-     * multiple threads.
+     * multiple threads. The base implementation submits the batch on
+     * a fresh openQueue() and drains it.
      */
-    virtual void readBatch(const IoRequest *requests, std::size_t n) = 0;
+    virtual void readBatch(const IoRequest *requests, std::size_t n);
 
     /**
      * readBatch() with a destination-region hint: the caller promises
@@ -370,6 +371,19 @@ std::unique_ptr<IoSink> makeIoSink(const IoOptions &options,
 /** Wrap an already-materialized image in the memory backend. */
 std::unique_ptr<IoBackend>
 makeMemoryBackend(std::vector<std::uint8_t> image);
+
+/**
+ * Hand @p backend 's whole file to @p consume in order, in
+ * sector-aligned chunks: the image itself when memory-resident, else
+ * uncached reads that never materialize the file.
+ */
+void streamBackend(
+    IoBackend &backend,
+    const std::function<void(const std::uint8_t *, std::size_t)> &consume);
+
+/** Copy @p from 's file into a new backend built under @p options. */
+std::unique_ptr<IoBackend> copyBackend(IoBackend &from,
+                                       const IoOptions &options);
 
 /** Growable 4 KiB-aligned scratch buffer (O_DIRECT-compatible). */
 class AlignedBuffer

@@ -27,13 +27,7 @@ mixSector(std::uint64_t sector)
     return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
-/** $ANN_SINGLE_FLIGHT seed, runtime-settable for A/B harnesses. */
-std::atomic<bool> &
-singleFlightFlag()
-{
-    static std::atomic<bool> flag{envFlag("ANN_SINGLE_FLIGHT", true)};
-    return flag;
-}
+constexpr char kSingleFlight[] = "ANN_SINGLE_FLIGHT";
 
 } // namespace
 
@@ -52,13 +46,15 @@ NodeCacheStats::dedupBytesSaved() const
 bool
 singleFlightEnabled()
 {
-    return singleFlightFlag().load(std::memory_order_relaxed);
+    return envToggle<kSingleFlight, true>().load(
+        std::memory_order_relaxed);
 }
 
 void
 setSingleFlightEnabled(bool enabled)
 {
-    singleFlightFlag().store(enabled, std::memory_order_relaxed);
+    envToggle<kSingleFlight, true>().store(enabled,
+                                           std::memory_order_relaxed);
 }
 
 double
@@ -319,6 +315,20 @@ SectorCache::waitFetch(std::uint64_t sector, std::uint8_t *dest)
         if (status != FetchStatus::Timeout)
             return status;
     }
+}
+
+void
+SectorCache::detachFetch(std::uint64_t sector)
+{
+    std::lock_guard<std::mutex> lock(flightMutex_);
+    const auto it = flights_.find(sector);
+    if (it == flights_.end() || it->second.waiters == 0)
+        return;
+    Flight &flight = it->second;
+    // A flight still in progress is erased by its owner's publish or
+    // cancel once nobody waits on it.
+    if (--flight.waiters == 0 && (flight.done || flight.cancelled))
+        flights_.erase(it);
 }
 
 void

@@ -196,8 +196,14 @@ class SectorCache
     FetchStatus waitFetchFor(std::uint64_t sector, std::uint8_t *dest,
                              std::uint32_t micros);
 
-    /** waitFetchFor() without a deadline (sync beam path). */
+    /** waitFetchFor() without a deadline. */
     FetchStatus waitFetch(std::uint64_t sector, std::uint8_t *dest);
+
+    /**
+     * Sharer gives up without waiting (error unwind): drop the
+     * attachment a Shared claim took, leaving the flight to its owner.
+     */
+    void detachFetch(std::uint64_t sector);
 
     /**
      * Admit a completed read. No-op when the sector already sits in

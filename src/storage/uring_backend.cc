@@ -49,6 +49,23 @@ namespace ann::storage {
 
 namespace {
 
+/** Fix up one raw CQE result: full reads pass through, short reads
+ *  (legal, just rare on regular files) are completed with pread,
+ *  negative res is a hard error. */
+bool
+fixShortRead(int fd, const IoRequest &req, int res)
+{
+    const std::size_t want = req.count * kIoSectorBytes;
+    if (res == static_cast<int>(want))
+        return true;
+    if (res < 0)
+        return false;
+    return ioPreadFull(fd, req.dest + res,
+                       want - static_cast<std::size_t>(res),
+                       req.sector * kIoSectorBytes +
+                           static_cast<std::uint64_t>(res));
+}
+
 #if defined(ANN_HAVE_LIBURING)
 
 /** One submission/completion ring (liburing flavour). */
@@ -156,7 +173,7 @@ class UringQueue
             io_uring_cqe *cqe = nullptr;
             if (io_uring_wait_cqe(&ring_, &cqe) < 0)
                 return false;
-            ok = completeOne(fd, reqs, cqe->user_data, cqe->res) && ok;
+            ok = fixShortRead(fd, reqs[cqe->user_data], cqe->res) && ok;
             io_uring_cqe_seen(&ring_, cqe);
         }
         return ok;
@@ -218,23 +235,6 @@ class UringQueue
     }
 
   private:
-    static bool
-    completeOne(int fd, const IoRequest *reqs, std::uint64_t index,
-                int res)
-    {
-        const IoRequest &req = reqs[index];
-        const std::size_t want = req.count * kIoSectorBytes;
-        if (res == static_cast<int>(want))
-            return true;
-        if (res < 0)
-            return false;
-        // Short read (legal, just rare on regular files): finish it.
-        return ioPreadFull(fd, req.dest + res,
-                           want - static_cast<std::size_t>(res),
-                           req.sector * kIoSectorBytes +
-                               static_cast<std::uint64_t>(res));
-    }
-
     io_uring ring_{};
     bool inited_ = false;
     std::uint64_t regionId_ = 0;
@@ -458,7 +458,7 @@ class UringQueue
             }
             while (head != ctail && reaped < count) {
                 const io_uring_cqe *cqe = &cqes_[head & *cqMask_];
-                ok = completeOne(fd, reqs, cqe->user_data, cqe->res) &&
+                ok = fixShortRead(fd, reqs[cqe->user_data], cqe->res) &&
                      ok;
                 ++head;
                 ++reaped;
@@ -544,22 +544,6 @@ class UringQueue
     }
 
   private:
-    static bool
-    completeOne(int fd, const IoRequest *reqs, std::uint64_t index,
-                int res)
-    {
-        const IoRequest &req = reqs[index];
-        const std::size_t want = req.count * kIoSectorBytes;
-        if (res == static_cast<int>(want))
-            return true;
-        if (res < 0)
-            return false;
-        return ioPreadFull(fd, req.dest + res,
-                           want - static_cast<std::size_t>(res),
-                           req.sector * kIoSectorBytes +
-                               static_cast<std::uint64_t>(res));
-    }
-
     void
     destroy()
     {
@@ -763,7 +747,6 @@ class UringIoBackend final : public IoBackend
         });
     }
 
-    friend class UringAsyncQueue;
     friend class SharedUringRing;
 
     int fd_;
@@ -776,173 +759,19 @@ class UringIoBackend final : public IoBackend
     std::unique_ptr<SharedUringRing> shared_;
 };
 
-/** Fix up one raw CQE result: full reads pass through, short reads
- *  are completed with pread, negative res is a hard error. */
-bool
-fixShortRead(int fd, const IoRequest &req, int res)
-{
-    const std::size_t want = req.count * kIoSectorBytes;
-    if (res == static_cast<int>(want))
-        return true;
-    if (res < 0)
-        return false;
-    return ioPreadFull(fd, req.dest + res,
-                       want - static_cast<std::size_t>(res),
-                       req.sector * kIoSectorBytes +
-                           static_cast<std::uint64_t>(res));
-}
-
 /**
- * Native submit/poll queue: one pooled ring owned for the queue's
- * lifetime, plain READ SQEs (destinations move between submissions,
- * so registered buffers do not apply), completions reaped lazily.
- * In-flight reads are capped at the ring's entry count via a slot
- * table; user_data carries the slot index so short reads can be
- * completed against the original request.
- */
-class UringAsyncQueue final : public IoQueue
-{
-  public:
-    UringAsyncQueue(UringIoBackend &backend,
-                    std::unique_ptr<UringQueue> ring)
-        : backend_(backend), ring_(std::move(ring)),
-          cap_(backend.queueDepth_)
-    {
-        slots_.resize(cap_);
-        freeSlots_.reserve(cap_);
-        for (std::uint32_t s = 0; s < cap_; ++s)
-            freeSlots_.push_back(cap_ - 1 - s);
-        reapSlots_.resize(cap_);
-        reapRes_.resize(cap_);
-    }
-
-    ~UringAsyncQueue() override
-    {
-        try {
-            while (inflight_ > 0)
-                reapSome(1);
-        } catch (...) {
-            // Ring failure while draining: the ring is destroyed
-            // below, which cancels whatever was still in flight.
-            ring_.reset();
-        }
-        if (ring_)
-            backend_.release(std::move(ring_));
-    }
-
-    void
-    submitBatch(const IoRequest *requests, std::size_t n,
-                const std::uint64_t *tags) override
-    {
-        std::size_t sectors = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            ANN_CHECK(requests[i].sector * kIoSectorBytes +
-                              requests[i].count * kIoSectorBytes <=
-                          backend_.size_,
-                      "read past end of node file");
-            sectors += requests[i].count;
-        }
-        ioGaugeSubmit(n, sectors);
-        std::size_t i = 0;
-        while (i < n) {
-            while (inflight_ >= cap_)
-                reapSome(1);
-            const std::size_t chunk =
-                std::min<std::size_t>(cap_ - inflight_, n - i);
-            chunkReqs_.clear();
-            chunkSlots_.clear();
-            for (std::size_t j = 0; j < chunk; ++j) {
-                const std::uint32_t slot = freeSlots_.back();
-                freeSlots_.pop_back();
-                slots_[slot] = Slot{requests[i + j], tags[i + j]};
-                chunkReqs_.push_back(requests[i + j]);
-                chunkSlots_.push_back(slot);
-            }
-            if (ring_->submitAsync(backend_.fd_, chunkReqs_.data(),
-                                   chunkSlots_.data(), chunk)) {
-                inflight_ += chunk;
-            } else {
-                // Submission failed: serve this chunk with preads so
-                // the caller never observes the difference.
-                for (std::size_t j = 0; j < chunk; ++j) {
-                    const std::uint32_t slot = chunkSlots_[j];
-                    const IoRequest &req = slots_[slot].req;
-                    ANN_CHECK(
-                        ioPreadFull(backend_.fd_, req.dest,
-                                    req.count * kIoSectorBytes,
-                                    req.sector * kIoSectorBytes),
-                        "pread fallback failed on node file");
-                    ready_.push_back(slots_[slot].tag);
-                    freeSlots_.push_back(slot);
-                    ioGaugeComplete(1);
-                }
-            }
-            i += chunk;
-        }
-    }
-
-    std::size_t
-    pollCompletions(std::uint64_t *out, std::size_t max,
-                    std::size_t min_complete) override
-    {
-        while (ready_.size() < min_complete && inflight_ > 0)
-            reapSome(min_complete - ready_.size());
-        const std::size_t take = std::min(max, ready_.size());
-        for (std::size_t i = 0; i < take; ++i)
-            out[i] = ready_[i];
-        ready_.erase(ready_.begin(),
-                     ready_.begin() + static_cast<std::ptrdiff_t>(take));
-        return take;
-    }
-
-  private:
-    struct Slot
-    {
-        IoRequest req;
-        std::uint64_t tag = 0;
-    };
-
-    void
-    reapSome(std::size_t min_complete)
-    {
-        const std::size_t got = ring_->reapAsync(
-            reapSlots_.data(), reapRes_.data(), cap_,
-            std::min<std::size_t>(min_complete, inflight_));
-        ANN_CHECK(got != static_cast<std::size_t>(-1),
-                  "io_uring completion reap failed");
-        for (std::size_t k = 0; k < got; ++k) {
-            const std::uint32_t slot = reapSlots_[k];
-            const Slot &s = slots_[slot];
-            ANN_CHECK(
-                fixShortRead(backend_.fd_, s.req, reapRes_[k]),
-                "io_uring async read failed on node file");
-            ready_.push_back(s.tag);
-            freeSlots_.push_back(slot);
-            ioGaugeComplete(1);
-            --inflight_;
-        }
-    }
-
-    UringIoBackend &backend_;
-    std::unique_ptr<UringQueue> ring_;
-    std::uint32_t cap_;
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::size_t inflight_ = 0;
-    std::vector<std::uint64_t> ready_;
-    std::vector<IoRequest> chunkReqs_;
-    std::vector<std::uint32_t> chunkSlots_;
-    std::vector<std::uint32_t> reapSlots_;
-    std::vector<int> reapRes_;
-};
-
-/**
- * One ring shared by every queue of a backend ($ANN_IO_POOLED): the
- * per-query beam submissions of a micro-batch merge into pooled
- * submissions, so the device sees the sum of the per-query depths
- * instead of one beam at a time. Submission serializes on ringMutex_;
- * any thread short on completions becomes the reaper and dispatches
- * CQEs to the owning handle's mailbox.
+ * The submit/poll engine of the uring backend: one ring, plain READ
+ * SQEs (destinations move between submissions, so registered buffers
+ * do not apply), and a slot table that caps reads in flight at the
+ * ring's entry count; user_data carries the slot index so short reads
+ * complete against the original request. Submission serializes on
+ * ringMutex_; any thread short on completions becomes the reaper and
+ * dispatches CQEs to their queues' mailboxes.
+ *
+ * A ring serves either one queue, borrowed from the backend's ring
+ * pool for the queue's lifetime, or every queue of the backend
+ * ($ANN_IO_POOLED): then the per-query beams of a micro-batch merge
+ * into pooled submissions and the device sees the sum of their depths.
  */
 class SharedUringRing
 {
@@ -953,15 +782,14 @@ class SharedUringRing
         std::condition_variable cv;
         std::vector<std::uint64_t> ready;
         std::size_t outstanding = 0;
+        bool failed = false; ///< a read failed; surfaced by poll()
     };
 
-    SharedUringRing(UringIoBackend &backend, std::uint32_t capacity)
-        : backend_(backend), cap_(capacity)
+    SharedUringRing(UringIoBackend &backend,
+                    std::unique_ptr<UringQueue> ring,
+                    std::uint32_t capacity)
+        : backend_(backend), cap_(capacity), ring_(std::move(ring))
     {
-        ring_ = std::make_unique<UringQueue>();
-        ok_ = ring_->init(capacity);
-        if (!ok_)
-            return;
         slots_.resize(cap_);
         freeSlots_.reserve(cap_);
         for (std::uint32_t s = 0; s < cap_; ++s)
@@ -970,7 +798,8 @@ class SharedUringRing
         reapRes_.resize(cap_);
     }
 
-    bool ok() const { return ok_; }
+    /** Return the (drained) ring to the backend's pool. */
+    void releaseRing() { backend_.release(std::move(ring_)); }
 
     void
     submit(Box *box, const IoRequest *requests, std::size_t n,
@@ -1011,14 +840,11 @@ class SharedUringRing
                 inflight_ += chunk;
             } else {
                 for (std::size_t j = 0; j < chunk; ++j) {
-                    const std::uint32_t slot = chunkSlots_[j];
-                    const IoRequest &req = slots_[slot].req;
-                    ANN_CHECK(
-                        ioPreadFull(backend_.fd_, req.dest,
-                                    req.count * kIoSectorBytes,
-                                    req.sector * kIoSectorBytes),
-                        "pread fallback failed on node file");
-                    finishSlot(slot);
+                    const IoRequest &req = slots_[chunkSlots_[j]].req;
+                    finishSlot(chunkSlots_[j],
+                               ioPreadFull(backend_.fd_, req.dest,
+                                           req.count * kIoSectorBytes,
+                                           req.sector * kIoSectorBytes));
                 }
             }
             i += chunk;
@@ -1029,11 +855,21 @@ class SharedUringRing
     poll(Box *box, std::uint64_t *out, std::size_t max,
          std::size_t min_complete)
     {
+        if (min_complete == 0) {
+            // Even a pure poll dispatches what the CQ already holds:
+            // consumers that only ever poll must still see their reads
+            // complete.
+            std::unique_lock<std::mutex> rl(ringMutex_, std::try_to_lock);
+            if (rl.owns_lock() && inflight_ > 0)
+                reapLocked(0);
+        }
         for (;;) {
             {
                 std::unique_lock<std::mutex> bl(box->mutex);
                 if (box->ready.size() >= min_complete ||
                     box->outstanding == 0) {
+                    ANN_CHECK(!box->failed,
+                              "io_uring read failed on node file");
                     const std::size_t take =
                         std::min(max, box->ready.size());
                     for (std::size_t i = 0; i < take; ++i)
@@ -1045,20 +881,10 @@ class SharedUringRing
                     return take;
                 }
             }
-            // Short on completions: become the reaper (or wait for
-            // whoever currently is).
-            std::unique_lock<std::mutex> rl(ringMutex_,
-                                            std::try_to_lock);
-            if (rl.owns_lock()) {
-                if (inflight_ > 0)
-                    reapLocked(1);
-            } else {
-                std::unique_lock<std::mutex> bl(box->mutex);
-                if (box->ready.size() < min_complete &&
-                    box->outstanding > 0)
-                    box->cv.wait_for(
-                        bl, std::chrono::microseconds(50));
-            }
+            pump(box, [&] {
+                return box->ready.size() < min_complete &&
+                       box->outstanding > 0;
+            });
         }
     }
 
@@ -1075,21 +901,31 @@ class SharedUringRing
                     return;
                 }
             }
-            std::unique_lock<std::mutex> rl(ringMutex_,
-                                            std::try_to_lock);
-            if (rl.owns_lock()) {
-                if (inflight_ > 0)
-                    reapLocked(1);
-            } else {
-                std::unique_lock<std::mutex> bl(box->mutex);
-                if (box->outstanding > 0)
-                    box->cv.wait_for(
-                        bl, std::chrono::microseconds(50));
-            }
+            pump(box, [&] { return box->outstanding > 0; });
         }
     }
 
   private:
+    /**
+     * @p box is short on completions: become the reaper, or wait
+     * briefly for whoever currently is while @p still_short holds
+     * (evaluated under the box lock).
+     */
+    template <typename Pred>
+    void
+    pump(Box *box, Pred still_short)
+    {
+        std::unique_lock<std::mutex> rl(ringMutex_, std::try_to_lock);
+        if (rl.owns_lock()) {
+            if (inflight_ > 0)
+                reapLocked(1);
+            return;
+        }
+        std::unique_lock<std::mutex> bl(box->mutex);
+        if (still_short())
+            box->cv.wait_for(bl, std::chrono::microseconds(50));
+    }
+
     struct Slot
     {
         IoRequest req;
@@ -1097,18 +933,22 @@ class SharedUringRing
         Box *box = nullptr;
     };
 
-    /** ringMutex_ held. Publish one completed slot to its box. */
+    /** ringMutex_ held. Publish one completed slot to its box; a
+     *  failed read completes too, so no queue waits on it forever. */
     void
-    finishSlot(std::uint32_t slot)
+    finishSlot(std::uint32_t slot, bool ok)
     {
         Slot &s = slots_[slot];
         Box *box = s.box;
         {
+            // Notify under the lock: drain() may return and free the
+            // box the moment it observes outstanding == 0.
             std::lock_guard<std::mutex> bl(box->mutex);
             box->ready.push_back(s.tag);
             --box->outstanding;
+            box->failed = box->failed || !ok;
+            box->cv.notify_all();
         }
-        box->cv.notify_all();
         freeSlots_.push_back(slot);
         ioGaugeComplete(1);
     }
@@ -1125,10 +965,8 @@ class SharedUringRing
                   "io_uring completion reap failed");
         for (std::size_t k = 0; k < got; ++k) {
             const std::uint32_t slot = reapSlots_[k];
-            ANN_CHECK(fixShortRead(backend_.fd_, slots_[slot].req,
-                                   reapRes_[k]),
-                      "io_uring async read failed on node file");
-            finishSlot(slot);
+            finishSlot(slot, fixShortRead(backend_.fd_, slots_[slot].req,
+                                          reapRes_[k]));
             --inflight_;
         }
     }
@@ -1136,7 +974,6 @@ class SharedUringRing
     UringIoBackend &backend_;
     std::uint32_t cap_;
     std::unique_ptr<UringQueue> ring_;
-    bool ok_ = false;
     std::mutex ringMutex_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
@@ -1147,16 +984,25 @@ class SharedUringRing
     std::vector<int> reapRes_;
 };
 
-/** Per-consumer handle onto the shared ring. */
-class PooledUringQueue final : public IoQueue
+/** Per-consumer handle onto a ring: the backend's pooled one, or a
+ *  private one it owns and returns to the ring pool when done. */
+class UringAsyncQueue final : public IoQueue
 {
   public:
-    explicit PooledUringQueue(SharedUringRing &ring) : ring_(ring) {}
-    ~PooledUringQueue() override
+    explicit UringAsyncQueue(SharedUringRing &ring) : ring_(ring) {}
+    explicit UringAsyncQueue(std::unique_ptr<SharedUringRing> own)
+        : own_(std::move(own)), ring_(*own_)
+    {
+    }
+    ~UringAsyncQueue() override
     {
         try {
             ring_.drain(&box_);
+            if (own_)
+                own_->releaseRing();
         } catch (...) {
+            // Ring failure while draining: a private ring is destroyed
+            // with own_, which cancels whatever was still in flight.
         }
     }
 
@@ -1175,6 +1021,7 @@ class PooledUringQueue final : public IoQueue
     }
 
   private:
+    std::unique_ptr<SharedUringRing> own_;
     SharedUringRing &ring_;
     SharedUringRing::Box box_;
 };
@@ -1195,18 +1042,20 @@ UringIoBackend::openQueue()
             // for the fleet, not one query's queue depth.
             const std::uint32_t cap = std::min<std::uint32_t>(
                 1024, std::max<std::uint32_t>(64, queueDepth_));
-            auto shared =
-                std::make_unique<SharedUringRing>(*this, cap);
-            if (shared->ok())
-                shared_ = std::move(shared);
+            auto ring = std::make_unique<UringQueue>();
+            if (ring->init(cap))
+                shared_ = std::make_unique<SharedUringRing>(
+                    *this, std::move(ring), cap);
         });
         if (shared_)
-            return std::make_unique<PooledUringQueue>(*shared_);
+            return std::make_unique<UringAsyncQueue>(*shared_);
     }
     std::unique_ptr<UringQueue> ring = acquire(0);
     if (!ring)
         return IoBackend::openQueue(); // emulated over readBatch()
-    return std::make_unique<UringAsyncQueue>(*this, std::move(ring));
+    return std::make_unique<UringAsyncQueue>(
+        std::make_unique<SharedUringRing>(*this, std::move(ring),
+                                          queueDepth_));
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "common/error.hh"
@@ -349,6 +352,192 @@ TEST(DiskAnnSmallTest, TinyDatasetStillWorks)
                             index.search(data.queryView().row(q), search),
                             5);
     EXPECT_GT(recall / 5.0, 0.9);
+}
+
+// ------------------------------------------------ corrupted archives
+
+/**
+ * Archives whose bytes disagree with themselves must be rejected at
+ * load with FatalError (which loadOrBuildIndex turns into a rebuild)
+ * instead of letting the beam index memory with on-disk values. Each
+ * test flips one field of a valid archive.
+ *
+ * Field offsets follow the stream layout: the BinaryWriter header
+ * ([u64 3]["DAT"][u32]) is 15 bytes and the index's own
+ * ([u64 4]["DANN"][u32]) 16 more, then the u64 geometry fields and
+ * the u32 medoid. Version-3 (id order) archives continue with six
+ * build parameters (44 bytes), the empty delta vector and the delta
+ * count before the tombstone vector; version-4 (packed) archives with
+ * the u32 layout tag and the permutation vector. The node image ends
+ * the archive, right behind the code vector and the image size.
+ */
+class DiskAnnArchiveTest : public ::testing::Test
+{
+  protected:
+    static constexpr std::size_t kNodeBytes = 55;
+    static constexpr std::size_t kMedoid = 79;
+    static constexpr std::size_t kV3Tombstones = 143;
+    static constexpr std::size_t kV4Permutation = 95;
+    static constexpr std::size_t kCodeSize = 8;
+
+    static void
+    SetUpTestSuite()
+    {
+        data_ = new TestData(makeClusteredData(400, 1, 16, 41));
+        dir_ = new testutil::TempDir("diskann_archive_test");
+        for (const LayoutPolicy layout :
+             {LayoutPolicy::IdOrder, LayoutPolicy::PackedBfs}) {
+            DiskAnnIndex index;
+            DiskAnnBuildParams params;
+            params.graph.max_degree = 16;
+            params.graph.build_list = 32;
+            params.pq.m = kCodeSize;
+            params.pq.ksub = 256;
+            params.layout = layout;
+            index.build(data_->baseView(), params);
+            const std::string path = dir_->sub("valid.bin");
+            {
+                BinaryWriter writer(path, "DAT", 1);
+                index.save(writer);
+                writer.close();
+            }
+            std::ifstream in(path, std::ios::binary);
+            const std::vector<char> bytes(
+                std::istreambuf_iterator<char>(in), {});
+            if (layout == LayoutPolicy::IdOrder) {
+                idOrder_ = bytes;
+                imageBytes_ = index.numSectors() * kSectorBytes;
+                dim_ = index.dim();
+            } else {
+                packed_ = bytes;
+            }
+        }
+    }
+    static void
+    TearDownTestSuite()
+    {
+        delete data_;
+        delete dir_;
+        data_ = nullptr;
+        dir_ = nullptr;
+    }
+
+    template <typename T>
+    static void
+    poke(std::vector<char> &bytes, std::size_t offset, T value)
+    {
+        std::memcpy(bytes.data() + offset, &value, sizeof(T));
+    }
+
+    template <typename T>
+    static T
+    peek(const std::vector<char> &bytes, std::size_t offset)
+    {
+        T value{};
+        std::memcpy(&value, bytes.data() + offset, sizeof(T));
+        return value;
+    }
+
+    /** Offset of the node image (the tail of an id-order archive). */
+    static std::size_t
+    imageOffset(const std::vector<char> &bytes)
+    {
+        return bytes.size() - imageBytes_;
+    }
+
+    /** Load @p bytes as an archive; FatalError when rejected. */
+    static void
+    load(const std::vector<char> &bytes)
+    {
+        const std::string path = dir_->sub("corrupt.bin");
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        BinaryReader reader(path, "DAT", 1);
+        DiskAnnIndex index;
+        index.load(reader);
+    }
+
+    static TestData *data_;
+    static testutil::TempDir *dir_;
+    static std::vector<char> idOrder_;
+    static std::vector<char> packed_;
+    static std::size_t imageBytes_;
+    static std::size_t dim_;
+};
+
+TestData *DiskAnnArchiveTest::data_ = nullptr;
+testutil::TempDir *DiskAnnArchiveTest::dir_ = nullptr;
+std::vector<char> DiskAnnArchiveTest::idOrder_;
+std::vector<char> DiskAnnArchiveTest::packed_;
+std::size_t DiskAnnArchiveTest::imageBytes_ = 0;
+std::size_t DiskAnnArchiveTest::dim_ = 0;
+
+TEST_F(DiskAnnArchiveTest, RejectsMedoidOutOfRange)
+{
+    auto bytes = idOrder_;
+    poke<std::uint32_t>(bytes, kMedoid, 400);
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsTombstoneCountMismatch)
+{
+    auto bytes = idOrder_;
+    ASSERT_EQ(peek<std::uint64_t>(bytes, kV3Tombstones), 400u);
+    poke<std::uint64_t>(bytes, kV3Tombstones, 399);
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsCodeArraySizeMismatch)
+{
+    auto bytes = idOrder_;
+    // [u64 count][codes][u64 image size][image]
+    const std::size_t count_at =
+        imageOffset(bytes) - sizeof(std::uint64_t) - 400 * kCodeSize -
+        sizeof(std::uint64_t);
+    ASSERT_EQ(peek<std::uint64_t>(bytes, count_at), 400 * kCodeSize);
+    poke<std::uint64_t>(bytes, count_at, 400 * kCodeSize - 1);
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsRecordGeometryMismatch)
+{
+    auto bytes = idOrder_;
+    poke<std::uint64_t>(bytes, kNodeBytes,
+                        peek<std::uint64_t>(bytes, kNodeBytes) + 4);
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsNonBijectivePermutation)
+{
+    auto bytes = packed_;
+    ASSERT_EQ(peek<std::uint64_t>(bytes, kV4Permutation - 8), 400u);
+    // Two nodes claiming the same record position.
+    poke<std::uint32_t>(bytes, kV4Permutation + 4,
+                        peek<std::uint32_t>(bytes, kV4Permutation));
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsDegreeAboveMaxDegree)
+{
+    auto bytes = idOrder_;
+    // Record 0 starts the data region (sector 1 under id order).
+    const std::size_t degree_at =
+        imageOffset(bytes) + kSectorBytes + dim_ * sizeof(float);
+    poke<std::uint32_t>(bytes, degree_at, 17);
+    EXPECT_THROW(load(bytes), FatalError);
+}
+
+TEST_F(DiskAnnArchiveTest, RejectsNeighbourIdOutOfRange)
+{
+    auto bytes = idOrder_;
+    const std::size_t degree_at =
+        imageOffset(bytes) + kSectorBytes + dim_ * sizeof(float);
+    ASSERT_GT(peek<std::uint32_t>(bytes, degree_at), 0u);
+    poke<std::uint32_t>(bytes, degree_at + sizeof(std::uint32_t), 400);
+    EXPECT_THROW(load(bytes), FatalError);
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "test_util.hh"
 #include "workload/generator.hh"
 
 namespace ann {
@@ -211,8 +212,8 @@ class ClusterFixture : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        cacheDir_ = new std::string("./dist_test_cache");
-        std::filesystem::create_directories(*cacheDir_);
+        // Per-process: ctest -j runs each case in its own process.
+        cacheDir_ = new testutil::TempDir("dist_test_cache");
         GeneratorSpec spec;
         spec.name = "dist-test";
         spec.rows = 3000;
@@ -223,7 +224,7 @@ class ClusterFixture : public ::testing::Test
         spec.seed = 23;
         data_ = new Dataset(generateDataset(spec));
         full_ = new MilvusLikeEngine(MilvusIndexKind::Hnsw);
-        full_->prepare(*data_, *cacheDir_);
+        full_->prepare(*data_, cacheDir_->path());
         shardEngines_ = new std::vector<std::unique_ptr<
             MilvusLikeEngine>>();
         for (std::size_t s = 0; s < kShards; ++s) {
@@ -231,7 +232,7 @@ class ClusterFixture : public ::testing::Test
                 dist::shardSlice(*data_, ShardSpec{s, kShards});
             auto engine = std::make_unique<MilvusLikeEngine>(
                 MilvusIndexKind::Hnsw);
-            engine->prepare(slice, *cacheDir_);
+            engine->prepare(slice, cacheDir_->path());
             shardEngines_->push_back(std::move(engine));
         }
     }
@@ -242,7 +243,6 @@ class ClusterFixture : public ::testing::Test
         delete shardEngines_;
         delete full_;
         delete data_;
-        std::filesystem::remove_all(*cacheDir_);
         delete cacheDir_;
         shardEngines_ = nullptr;
         full_ = nullptr;
@@ -332,14 +332,14 @@ class ClusterFixture : public ::testing::Test
     static Dataset *data_;
     static MilvusLikeEngine *full_;
     static std::vector<std::unique_ptr<MilvusLikeEngine>> *shardEngines_;
-    static std::string *cacheDir_;
+    static testutil::TempDir *cacheDir_;
 };
 
 Dataset *ClusterFixture::data_ = nullptr;
 MilvusLikeEngine *ClusterFixture::full_ = nullptr;
 std::vector<std::unique_ptr<MilvusLikeEngine>>
     *ClusterFixture::shardEngines_ = nullptr;
-std::string *ClusterFixture::cacheDir_ = nullptr;
+testutil::TempDir *ClusterFixture::cacheDir_ = nullptr;
 
 TEST_F(ClusterFixture, RouterMergeMatchesClientSideMerge)
 {

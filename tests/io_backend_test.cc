@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -300,6 +301,111 @@ TEST(IoBackendTest, ConcurrentReadersSeeConsistentBytes)
     for (auto &reader : readers)
         reader.join();
     EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ---------------------------------------------------- queue teardown
+
+/**
+ * A queue may be destroyed the moment its last completion becomes
+ * visible, so whichever thread posts that completion must be done
+ * with the queue before it makes it visible. Thousands of one-read
+ * queues per thread, busy-polled with min_complete = 0 and destroyed
+ * straight away, keep that window open (TSan flags any touch of a
+ * freed queue). Bytes are checked after destruction, which drains.
+ */
+void
+hammerQueueTeardown(IoBackend &backend,
+                    const std::vector<std::uint8_t> &image)
+{
+    constexpr int kThreads = 4;
+    constexpr int kQueues = 2000;
+    const std::uint64_t sectors = image.size() / kIoSectorBytes;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            AlignedBuffer buf;
+            std::uint8_t *dst = buf.ensure(kIoSectorBytes);
+            for (int i = 0; i < kQueues; ++i) {
+                const std::uint64_t sector =
+                    static_cast<std::uint64_t>(t * 131 + i) % sectors;
+                {
+                    auto queue = backend.openQueue();
+                    const IoRequest req{sector, 1, dst};
+                    const auto tag = static_cast<std::uint64_t>(i);
+                    queue->submitBatch(&req, 1, &tag);
+                    std::uint64_t got = 0;
+                    // Pure polls never reap the pooled ring, so bound
+                    // the spin; the destructor drains what is left.
+                    for (int spin = 0; spin < 1000; ++spin)
+                        if (queue->pollCompletions(&got, 1, 0) == 1)
+                            break;
+                }
+                if (std::memcmp(dst,
+                                image.data() + sector * kIoSectorBytes,
+                                kIoSectorBytes) != 0)
+                    mismatches.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(IoQueueTeardownTest, FileQueuesSurviveImmediateDestruction)
+{
+    const auto image = testImage(64, 8);
+    auto backend = buildBackend(IoBackendKind::File, image);
+    hammerQueueTeardown(*backend, image);
+}
+
+TEST(IoQueueTeardownTest, PooledRingQueuesSurviveImmediateDestruction)
+{
+    if (!uringSupported())
+        GTEST_SKIP() << "io_uring unavailable in this environment";
+    const auto image = testImage(64, 9);
+    auto backend = buildBackend(IoBackendKind::Uring, image);
+    // The shared ring is created by the first openQueue() with the
+    // toggle on.
+    setIoPooledEnabled(true);
+    hammerQueueTeardown(*backend, image);
+    setIoPooledEnabled(false);
+}
+
+/**
+ * A consumer that only ever polls (min_complete = 0) must still see
+ * its reads complete, on a private ring and on the pooled one:
+ * pipelined readers waiting on each other's reads alternate bounded
+ * waits with pure polls, and would livelock if a pure poll never
+ * reaped the completion queue.
+ */
+TEST(IoQueueTest, PurePollsReapUringCompletions)
+{
+    if (!uringSupported())
+        GTEST_SKIP() << "io_uring unavailable in this environment";
+    const auto image = testImage(16, 10);
+    auto backend = buildBackend(IoBackendKind::Uring, image);
+    for (const bool pooled : {false, true}) {
+        setIoPooledEnabled(pooled);
+        AlignedBuffer buf;
+        std::uint8_t *dst = buf.ensure(kIoSectorBytes);
+        auto queue = backend->openQueue();
+        const IoRequest req{3, 1, dst};
+        const std::uint64_t tag = 7;
+        queue->submitBatch(&req, 1, &tag);
+        std::uint64_t got = 0;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (queue->pollCompletions(&got, 1, 0) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        EXPECT_EQ(got, tag) << (pooled ? "pooled" : "private") << " ring";
+        EXPECT_EQ(std::memcmp(dst, image.data() + 3 * kIoSectorBytes,
+                              kIoSectorBytes),
+                  0);
+    }
+    setIoPooledEnabled(false);
 }
 
 } // namespace

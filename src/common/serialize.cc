@@ -1,15 +1,36 @@
 #include "common/serialize.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 namespace ann {
 
+namespace {
+
+/** `<path>.tmp.<pid>.<seq>`: unique per process and per writer. */
+std::string
+tempPathFor(const std::string &path)
+{
+    static std::atomic<std::uint64_t> seq{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(seq.fetch_add(1));
+}
+
+} // namespace
+
 BinaryWriter::BinaryWriter(const std::string &path,
                            const std::string &magic,
                            std::uint32_t version)
-    : out_(path, std::ios::binary | std::ios::trunc), path_(path)
+    : path_(path), tmpPath_(tempPathFor(path)),
+      out_(tmpPath_, std::ios::binary | std::ios::trunc)
 {
-    ANN_CHECK(out_.is_open(), "cannot open for writing: ", path);
+    ANN_CHECK(out_.is_open(), "cannot open for writing: ", tmpPath_);
     writeString(magic);
     writePod(version);
 }
@@ -17,8 +38,8 @@ BinaryWriter::BinaryWriter(const std::string &path,
 BinaryWriter::~BinaryWriter()
 {
     if (!closed_) {
-        // Destructor flush; errors surface on explicit close() only.
-        out_.flush();
+        out_.close();
+        std::remove(tmpPath_.c_str());
     }
 }
 
@@ -32,9 +53,18 @@ BinaryWriter::writeString(const std::string &value)
 void
 BinaryWriter::close()
 {
-    out_.flush();
-    ANN_CHECK(out_.good(), "write failure on ", path_);
-    out_.close();
+    out_.close(); // flushes; sets failbit if any write failed
+    ANN_CHECK(!out_.fail(), "write failure on ", tmpPath_);
+    const int fd = ::open(tmpPath_.c_str(), O_WRONLY | O_CLOEXEC);
+    ANN_CHECK(fd >= 0, "cannot reopen ", tmpPath_, ": ",
+              std::strerror(errno));
+    const int synced = ::fsync(fd);
+    const int sync_errno = errno;
+    ::close(fd);
+    ANN_CHECK(synced == 0, "fsync failed on ", tmpPath_, ": ",
+              std::strerror(sync_errno));
+    ANN_CHECK(std::rename(tmpPath_.c_str(), path_.c_str()) == 0,
+              "cannot publish ", path_, ": ", std::strerror(errno));
     closed_ = true;
 }
 

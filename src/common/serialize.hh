@@ -21,15 +21,29 @@
 
 namespace ann {
 
-/** Sequential binary writer over a file. */
+/**
+ * Sequential binary writer that publishes its archive atomically.
+ *
+ * Bytes go to a private temporary file, `<path>.tmp.<pid>.<seq>`, in
+ * the target's directory; close() flushes, fsyncs, and renames it over
+ * @p path. A reader that opens @p path therefore sees the previous
+ * archive or the complete new one, never a partial write — even when
+ * several processes share a cache directory. A writer destroyed
+ * without a successful close() (an exception mid-save) deletes its
+ * temporary file and leaves @p path untouched.
+ */
 class BinaryWriter
 {
   public:
-    /** Open @p path for writing and emit the archive header. */
+    /** Start an archive for @p path and emit its header. */
     BinaryWriter(const std::string &path, const std::string &magic,
                  std::uint32_t version);
 
+    /** Discards the temporary file unless close() published it. */
     ~BinaryWriter();
+
+    BinaryWriter(const BinaryWriter &) = delete;
+    BinaryWriter &operator=(const BinaryWriter &) = delete;
 
     template <typename T>
     void
@@ -64,14 +78,18 @@ class BinaryWriter
         writeBytes(data, size);
     }
 
-    /** Flush and close; throws on I/O failure. */
+    /**
+     * Flush, fsync, and rename the archive into place; throws on I/O
+     * failure, leaving the previous archive at the path.
+     */
     void close();
 
   private:
     void writeBytes(const void *data, std::size_t size);
 
-    std::ofstream out_;
     std::string path_;
+    std::string tmpPath_;
+    std::ofstream out_;
     bool closed_ = false;
 };
 

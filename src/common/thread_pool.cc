@@ -220,44 +220,50 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-bool
-ThreadPool::runChunks(Job &job, std::unique_lock<std::mutex> &lock)
+void
+ThreadPool::dequeue(const Job &job)
 {
-    bool drained = false;
-    while (job.cursor < job.n && !job.error) {
-        const std::size_t begin = job.cursor;
-        const std::size_t end =
-            std::min(job.n, begin + job.chunk);
-        job.cursor = end;
-        lock.unlock();
-        std::exception_ptr error;
-        // The submitting caller also runs chunks; flag it so a nested
-        // parallelFor in the body runs inline instead of waiting on
-        // the very job this chunk belongs to.
-        const ThreadPool *was_inside = tls_pool;
-        tls_pool = this;
-        try {
-            (*job.body)(begin, end);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        tls_pool = was_inside;
-        lock.lock();
-        if (error && !job.error) {
-            job.error = error;
-            // Poison the cursor so no further chunks start; the
-            // skipped (unclaimed) indices count as done, otherwise
-            // the caller would wait for them forever.
+    queue_.erase(std::find(queue_.begin(), queue_.end(), &job));
+}
+
+void
+ThreadPool::runChunk(Job &job, std::unique_lock<std::mutex> &lock)
+{
+    const std::size_t begin = job.cursor;
+    const std::size_t end = std::min(job.n, begin + job.chunk);
+    job.cursor = end;
+    if (end == job.n)
+        dequeue(job);
+    lock.unlock();
+    std::exception_ptr error;
+    // Flag the thread as inside this pool — a worker already is, the
+    // submitting caller is not — so a nested parallelFor in the body
+    // runs inline instead of waiting on the job this chunk belongs to.
+    const ThreadPool *was_inside = tls_pool;
+    tls_pool = this;
+    try {
+        (*job.body)(begin, end);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    tls_pool = was_inside;
+    lock.lock();
+    if (error && !job.error) {
+        job.error = error;
+        // Poison the cursor so no further chunks start; the skipped
+        // (unclaimed) indices count as done, otherwise the caller
+        // would wait for them forever.
+        if (job.cursor < job.n) {
             job.pending -= job.n - job.cursor;
             job.cursor = job.n;
-        }
-        job.pending -= end - begin;
-        if (job.pending == 0) {
-            drained = true;
-            doneCv_.notify_all();
+            dequeue(job);
         }
     }
-    return drained;
+    job.pending -= end - begin;
+    // Notify under the lock: once the caller sees pending == 0 it
+    // returns and destroys the job, condition variable included.
+    if (job.pending == 0)
+        job.done.notify_one();
 }
 
 void
@@ -265,17 +271,12 @@ ThreadPool::workerLoop()
 {
     tls_pool = this;
     std::unique_lock<std::mutex> lock(mutex_);
-    std::uint64_t seen = 0;
     for (;;) {
-        workCv_.wait(lock, [&] {
-            return stopping_ ||
-                   (job_ != nullptr && generation_ != seen &&
-                    job_->cursor < job_->n);
-        });
+        workCv_.wait(lock,
+                     [&] { return stopping_ || !queue_.empty(); });
         if (stopping_)
             return;
-        seen = generation_;
-        runChunks(*job_, lock);
+        runChunk(*queue_.front(), lock);
     }
 }
 
@@ -288,32 +289,33 @@ ThreadPool::parallelFor(std::size_t n, std::size_t chunk,
     chunk = std::max<std::size_t>(1, chunk);
 
     // Inline paths: single-threaded pool, loop smaller than one
-    // chunk, or a nested call from one of this pool's own workers.
+    // chunk, or a nested call from inside one of this pool's chunks.
     // Running inline keeps exception propagation trivial and avoids
-    // deadlocking a worker on its own pool.
+    // deadlocking a thread on its own pool.
     if (threads_ == 1 || n <= chunk || tls_pool == this) {
         for (std::size_t begin = 0; begin < n; begin += chunk)
             body(begin, std::min(n, begin + chunk));
         return;
     }
 
-    std::unique_lock<std::mutex> lock(mutex_);
-    // One job at a time; queued callers wait for the active one.
-    doneCv_.wait(lock, [&] { return job_ == nullptr; });
-
     Job job;
     job.n = n;
     job.chunk = chunk;
     job.body = &body;
     job.pending = n;
-    job_ = &job;
-    ++generation_;
-    workCv_.notify_all();
 
-    runChunks(job, lock);
-    doneCv_.wait(lock, [&] { return job.pending == 0; });
-    job_ = nullptr;
-    doneCv_.notify_all(); // release queued callers
+    std::unique_lock<std::mutex> lock(mutex_);
+    queue_.push_back(&job);
+    // This thread runs the first chunk; wake one idle worker for each
+    // further chunk. Busy workers reach the job when they finish
+    // theirs, and whatever nobody claims this thread runs itself.
+    const std::size_t spare = std::min((n - 1) / chunk, workers_.size());
+    for (std::size_t w = 0; w < spare; ++w)
+        workCv_.notify_one();
+
+    while (job.cursor < job.n)
+        runChunk(job, lock);
+    job.done.wait(lock, [&] { return job.pending == 0; });
 
     const std::exception_ptr error = job.error;
     lock.unlock();

@@ -4,21 +4,28 @@
  *
  * The pool exists for *real* OS-thread parallelism (the simulated
  * testbed has its own virtual concurrency): real query execution in
- * BenchRunner, K-Means assignment, Vamana candidate generation, and
- * PQ encoding all fan out through parallelFor().
+ * BenchRunner, the live segment fan-out of a multi-segment engine
+ * query, K-Means assignment, Vamana candidate generation, and PQ
+ * encoding all fan out through parallelFor().
  *
- * Scheduling is chunked and dynamic — workers pull [begin, end)
- * chunks off a shared atomic cursor — so callers must keep results
+ * Scheduling is chunked and dynamic — threads pull [begin, end)
+ * chunks off each job's cursor — so callers must keep results
  * deterministic by writing into per-index slots and reducing in index
- * order afterwards. The first exception thrown by any chunk is
- * captured and rethrown on the calling thread once the loop joins.
+ * order afterwards. The first exception thrown by any chunk of a job
+ * is captured and rethrown on that job's caller once the loop joins.
  *
- * parallelFor() issued from inside a worker of the *same* pool runs
- * inline on that worker (no nested fan-out), so library code can
+ * Concurrent callers' jobs run at the same time. Jobs with unclaimed
+ * chunks wait in a FIFO; an idle worker takes its next chunk from the
+ * oldest one. Each caller runs its own job's chunks and never another
+ * caller's, so a caller waits only on its own work: when every worker
+ * is busy, the caller simply runs all of its chunks itself.
+ *
+ * parallelFor() issued from inside a chunk of the *same* pool runs
+ * inline on that thread (no nested fan-out), so library code can
  * parallelize without knowing whether its caller already did. A call
- * targeting a *different* pool fans out normally — that is how the
- * file I/O backend overlaps blocking preads from inside an execution
- * worker.
+ * targeting a *different* pool fans out normally — that is how a
+ * server execution thread fans a query's segments out on the global
+ * pool.
  */
 
 #ifndef ANN_COMMON_THREAD_POOL_HH
@@ -26,6 +33,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -98,9 +106,16 @@ class ThreadPool
     static bool pinningSupported();
 
     /**
-     * Run @p body over [0, n) in chunks of @p chunk indices. The
-     * calling thread participates; returns when every index is done.
-     * Rethrows the first chunk exception after the join.
+     * Run @p body over [0, n) in chunks of @p chunk indices; returns
+     * when every index is done. Safe to call from many threads at
+     * once: each call queues one job behind the jobs already waiting
+     * for workers and wakes at most one idle worker per chunk beyond
+     * its first, and the calling thread runs its own job's chunks
+     * until none is left unclaimed. Rethrows the first exception of
+     * this job's chunks after the join; other callers never see it.
+     * Runs inline on the caller when the pool has one thread, when
+     * @p n fits in one chunk, or when called from inside a chunk of
+     * this pool.
      */
     void parallelFor(std::size_t n, std::size_t chunk,
                      const ChunkFn &body);
@@ -115,6 +130,7 @@ class ThreadPool
     static std::size_t hardwareThreads();
 
   private:
+    /** One parallelFor call; lives on its caller's stack. */
     struct Job
     {
         std::size_t n = 0;
@@ -122,22 +138,27 @@ class ThreadPool
         const ChunkFn *body = nullptr;
         std::size_t cursor = 0;      // next unclaimed index
         std::size_t pending = 0;     // indices not yet completed
-        std::exception_ptr error;
+        std::exception_ptr error;    // first chunk exception
+        std::condition_variable done; // caller waits for pending == 0
     };
 
     void workerLoop();
-    /** Pull chunks until the job drains; @return true if last out. */
-    bool runChunks(Job &job, std::unique_lock<std::mutex> &lock);
+    /**
+     * Claim the next chunk of @p job, run it unlocked, and retire it.
+     * Called and returns with @p lock held.
+     */
+    void runChunk(Job &job, std::unique_lock<std::mutex> &lock);
+    /** Drop @p job from queue_ once it has no unclaimed chunk. */
+    void dequeue(const Job &job);
 
     std::size_t threads_ = 1;
     std::size_t pinned_ = 0;
     std::vector<std::thread> workers_;
 
     std::mutex mutex_;
-    std::condition_variable workCv_;  // workers wait for a job
-    std::condition_variable doneCv_;  // caller waits for completion
-    Job *job_ = nullptr;              // active job, guarded by mutex_
-    std::uint64_t generation_ = 0;    // bumped per submitted job
+    std::condition_variable workCv_; // idle workers wait for a job
+    /** Jobs with unclaimed chunks, oldest first; guarded by mutex_. */
+    std::deque<Job *> queue_;
     bool stopping_ = false;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/env.hh"
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 #include "distance/topk.hh"
 #include "engine/index_cache.hh"
 #include "index/layout.hh"
@@ -154,64 +155,98 @@ MilvusLikeEngine::prepare(const workload::Dataset &dataset,
     ANN_CHECK(!segmentBase_.empty(), "dataset produced no segments");
 }
 
+SearchResult
+MilvusLikeEngine::searchSegment(std::size_t s, const float *query,
+                                const SearchSettings &settings,
+                                SearchTraceRecorder *recorder) const
+{
+    ANN_CHECK(s < segmentBase_.size(), "segment out of range: ", s);
+    SearchResult local;
+    switch (kind_) {
+      case MilvusIndexKind::Ivf: {
+        IvfSearchParams params;
+        params.k = settings.k;
+        params.nprobe = settings.nprobe;
+        local = ivfSegments_[s].search(query, params, recorder);
+        break;
+      }
+      case MilvusIndexKind::Hnsw: {
+        HnswSearchParams params;
+        params.k = settings.k;
+        params.ef_search = settings.ef_search;
+        local = hnswSegments_[s].search(query, params, recorder);
+        break;
+      }
+      case MilvusIndexKind::DiskAnn: {
+        DiskAnnSearchParams params;
+        params.k = settings.k;
+        params.search_list = std::max(settings.search_list, settings.k);
+        params.beam_width = settings.beam_width;
+        local = diskannSegments_[s].search(query, params, recorder);
+        break;
+      }
+    }
+    const auto base = static_cast<VectorId>(segmentBase_[s]);
+    for (Neighbor &n : local)
+        n.id += base;
+    return local;
+}
+
+SearchResult
+MilvusLikeEngine::searchSegments(const float *query,
+                                 const SearchSettings &settings,
+                                 SearchTraceRecorder *recorders,
+                                 ThreadPool *pool) const
+{
+    ANN_CHECK(!segmentBase_.empty(), "engine not prepared");
+    // Each segment is searched into its own slot and the slots are
+    // merged in segment order, so the answer does not depend on which
+    // thread searched which segment.
+    std::vector<SearchResult> slots(segmentBase_.size());
+    const auto body = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s)
+            slots[s] = searchSegment(s, query, settings,
+                                     recorders ? &recorders[s] : nullptr);
+    };
+    if (pool)
+        pool->parallelFor(slots.size(), 1, body);
+    else
+        body(0, slots.size());
+    TopK merged(settings.k);
+    for (const SearchResult &local : slots)
+        for (const Neighbor &n : local)
+            merged.push(n.id, n.distance);
+    return merged.take();
+}
+
 VectorDbEngine::SearchOutput
 MilvusLikeEngine::search(const float *query,
                          const SearchSettings &settings)
 {
-    ANN_CHECK(!segmentBase_.empty(), "engine not prepared");
-
+    std::vector<SearchTraceRecorder> recorders(segmentBase_.size());
     SearchOutput output;
+    // Walk the segments on the caller: the simulator replays the
+    // per-segment chains side by side itself, and BenchRunner spreads
+    // queries over its own threads ($ANN_EXEC_THREADS, 1 = serial).
+    output.results =
+        searchSegments(query, settings, recorders.data(), nullptr);
+
     output.trace.rtt_ns = profile_.rtt_ns;
     output.trace.serial_cpu_ns = profile_.serial_cpu_ns;
     output.trace.prologue.push_back({profile_.proxy_cpu_ns, {}});
-
-    TopK merged(settings.k);
-    for (std::size_t s = 0; s < segmentBase_.size(); ++s) {
-        SearchTraceRecorder recorder;
-        SearchResult local;
-        switch (kind_) {
-          case MilvusIndexKind::Ivf: {
-            IvfSearchParams params;
-            params.k = settings.k;
-            params.nprobe = settings.nprobe;
-            local = ivfSegments_[s].search(query, params, &recorder);
-            break;
-          }
-          case MilvusIndexKind::Hnsw: {
-            HnswSearchParams params;
-            params.k = settings.k;
-            params.ef_search = settings.ef_search;
-            local = hnswSegments_[s].search(query, params, &recorder);
-            break;
-          }
-          case MilvusIndexKind::DiskAnn: {
-            DiskAnnSearchParams params;
-            params.k = settings.k;
-            params.search_list =
-                std::max(settings.search_list, settings.k);
-            params.beam_width = settings.beam_width;
-            local = diskannSegments_[s].search(query, params, &recorder);
-            break;
-          }
-        }
-        auto chain = timeSteps(recorder.takeSteps());
+    for (std::size_t s = 0; s < recorders.size(); ++s) {
+        auto chain = timeSteps(recorders[s].takeSteps());
         if (kind_ == MilvusIndexKind::DiskAnn) {
             // Per-sector AIO at a per-segment file offset.
             splitToSingleSectors(chain);
             offsetSectors(chain, segmentSectorBase_[s]);
         }
         output.trace.parallel_chains.push_back(std::move(chain));
-
-        const auto base = static_cast<VectorId>(segmentBase_[s]);
-        for (const Neighbor &n : local)
-            merged.push(base + n.id, n.distance);
     }
-
     output.trace.epilogue.push_back(
         {profile_.merge_cpu_ns *
              static_cast<SimTime>(segmentBase_.size()),
          {}});
-    output.results = merged.take();
     return output;
 }
 
@@ -219,41 +254,11 @@ SearchResult
 MilvusLikeEngine::searchLive(const float *query,
                              const SearchSettings &settings)
 {
-    ANN_CHECK(!segmentBase_.empty(), "engine not prepared");
-
-    TopK merged(settings.k);
-    for (std::size_t s = 0; s < segmentBase_.size(); ++s) {
-        SearchResult local;
-        switch (kind_) {
-          case MilvusIndexKind::Ivf: {
-            IvfSearchParams params;
-            params.k = settings.k;
-            params.nprobe = settings.nprobe;
-            local = ivfSegments_[s].search(query, params);
-            break;
-          }
-          case MilvusIndexKind::Hnsw: {
-            HnswSearchParams params;
-            params.k = settings.k;
-            params.ef_search = settings.ef_search;
-            local = hnswSegments_[s].search(query, params);
-            break;
-          }
-          case MilvusIndexKind::DiskAnn: {
-            DiskAnnSearchParams params;
-            params.k = settings.k;
-            params.search_list =
-                std::max(settings.search_list, settings.k);
-            params.beam_width = settings.beam_width;
-            local = diskannSegments_[s].search(query, params);
-            break;
-          }
-        }
-        const auto base = static_cast<VectorId>(segmentBase_[s]);
-        for (const Neighbor &n : local)
-            merged.push(base + n.id, n.distance);
-    }
-    return merged.take();
+    // Side by side on the global pool, so one query's per-segment
+    // reads overlap; inline when the pool has one thread or the
+    // engine one segment.
+    return searchSegments(query, settings, nullptr,
+                          &ThreadPool::global());
 }
 
 VectorId

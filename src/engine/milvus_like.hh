@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "engine/engine.hh"
 #include "index/diskann_index.hh"
 #include "index/hnsw_index.hh"
@@ -45,9 +46,13 @@ class MilvusLikeEngine : public VectorDbEngine
 
     void prepare(const workload::Dataset &dataset,
                  const std::string &cache_dir) override;
+    /** Traced simulator path: walks the segments on the caller. */
     SearchOutput search(const float *query,
                         const SearchSettings &settings) override;
-    /** Trace-free serving path: no recorder, no timed-step assembly. */
+    /**
+     * Trace-free serving path: no recorder, no timed-step assembly;
+     * the segments are searched side by side on ThreadPool::global().
+     */
     SearchResult searchLive(const float *query,
                             const SearchSettings &settings) override;
     std::size_t memoryBytes() const override;
@@ -75,6 +80,16 @@ class MilvusLikeEngine : public VectorDbEngine
     MilvusIndexKind kind() const { return kind_; }
 
     /**
+     * Search segment @p s alone (< numSegments()); ids are
+     * engine-global. search() and searchLive() are this over every
+     * segment, merged in segment order.
+     */
+    SearchResult searchSegment(std::size_t s, const float *query,
+                               const SearchSettings &settings,
+                               SearchTraceRecorder *recorder =
+                                   nullptr) const;
+
+    /**
      * Timed trace of ingesting @p rows vectors (DiskANN kind only).
      *
      * Models FreshDiskANN-style streaming ingestion: vectors are
@@ -99,6 +114,18 @@ class MilvusLikeEngine : public VectorDbEngine
     static std::size_t segmentRows(std::size_t dim);
 
   private:
+    /**
+     * The segment loop of search() and searchLive(): every segment
+     * searched into its own slot — side by side on @p pool, or one
+     * after another on the caller when @p pool is null — then merged
+     * through one TopK in segment order. @p recorders is null or one
+     * per segment.
+     */
+    SearchResult searchSegments(const float *query,
+                                const SearchSettings &settings,
+                                SearchTraceRecorder *recorders,
+                                ThreadPool *pool) const;
+
     MilvusIndexKind kind_;
     std::size_t dim_ = 0;
 

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/args.hh"
 #include "common/env.hh"
@@ -16,6 +21,7 @@
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "test_util.hh"
 
 namespace ann {
 namespace {
@@ -166,6 +172,107 @@ TEST(SerializeTest, ShortReadThrows)
     EXPECT_EQ(reader.readPod<std::uint8_t>(), 1);
     EXPECT_THROW(reader.readPod<std::uint64_t>(), FatalError);
     std::remove(path.c_str());
+}
+
+/** Whole file at @p path as bytes. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+/** Entries of @p dir other than @p keep (temporary files left over). */
+std::size_t
+strayFiles(const std::string &dir, const std::string &keep)
+{
+    std::size_t stray = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().filename() != keep)
+            ++stray;
+    return stray;
+}
+
+TEST(SerializeTest, AbandonedWriterKeepsPreviousArchive)
+{
+    const testutil::TempDir dir("serialize_abandon");
+    const std::string path = dir.sub("archive.bin");
+    {
+        BinaryWriter writer(path, "ARC", 1);
+        writer.writeVector<std::uint32_t>({1, 2, 3});
+        writer.close();
+    }
+    const std::string before = fileBytes(path);
+    {
+        // Destroyed without close(), as when a save() throws midway.
+        BinaryWriter writer(path, "ARC", 1);
+        writer.writeVector(std::vector<std::uint32_t>(1 << 16, 7));
+        writer.writePod<std::uint64_t>(9);
+    }
+    EXPECT_TRUE(fileBytes(path) == before) << "previous archive changed";
+    EXPECT_EQ(strayFiles(dir.path(), "archive.bin"), 0u);
+    BinaryReader reader(path, "ARC", 1);
+    EXPECT_EQ(reader.readVector<std::uint32_t>(),
+              (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(SerializeTest, ReadersNeverSeeAPartialArchive)
+{
+    // One thread republishes a 2 MiB archive 200 times while another
+    // opens it and reads it to the end in a loop. Every read must see
+    // one whole generation: header, payload, and trailer. A writer
+    // that truncates and rewrites in place fails this with short or
+    // mixed reads.
+    const testutil::TempDir dir("serialize_publish");
+    const std::string path = dir.sub("archive.bin");
+    constexpr std::size_t kWords = std::size_t{1} << 19;
+    constexpr std::uint32_t kGenerations = 200;
+    const auto publish = [&](std::uint32_t generation) {
+        BinaryWriter writer(path, "GEN", 1);
+        writer.writePod(generation);
+        writer.writeVector(std::vector<std::uint32_t>(kWords, generation));
+        writer.writePod<std::uint32_t>(~generation);
+        writer.close();
+    };
+    publish(0);
+
+    std::atomic<bool> stop{false};
+    std::size_t reads = 0;
+    std::size_t bad_reads = 0;
+    std::string first_error;
+    std::thread reader([&] {
+        while (!stop.load()) {
+            ++reads;
+            try {
+                BinaryReader in(path, "GEN", 1);
+                const auto generation = in.readPod<std::uint32_t>();
+                const auto words = in.readVector<std::uint32_t>();
+                const auto trailer = in.readPod<std::uint32_t>();
+                if (words.size() != kWords ||
+                    std::count(words.begin(), words.end(), generation) !=
+                        static_cast<std::ptrdiff_t>(kWords) ||
+                    trailer != ~generation) {
+                    if (bad_reads++ == 0)
+                        first_error = "torn archive";
+                }
+            } catch (const FatalError &e) {
+                if (bad_reads++ == 0)
+                    first_error = e.what();
+            }
+        }
+    });
+    for (std::uint32_t generation = 1; generation <= kGenerations;
+         ++generation)
+        publish(generation);
+    stop = true;
+    reader.join();
+
+    EXPECT_GT(reads, 0u);
+    EXPECT_EQ(bad_reads, 0u) << "of " << reads << " reads; first: "
+                             << first_error;
+    EXPECT_EQ(strayFiles(dir.path(), "archive.bin"), 0u);
 }
 
 TEST(StatsTest, MeanAndStddev)

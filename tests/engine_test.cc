@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "distance/recall.hh"
+#include "distance/topk.hh"
 #include "engine/cost_model.hh"
 #include "engine/lance_like.hh"
 #include "engine/milvus_like.hh"
@@ -63,6 +68,57 @@ class EngineFixture : public ::testing::Test
                              settings.k);
         }
         return acc / static_cast<double>(data_->num_queries);
+    }
+
+    /**
+     * searchLive() — segments fanned out on the global pool — must
+     * return exactly what a serial walk over the segments, merged by
+     * hand in segment order, returns: first from one thread, then
+     * while four threads search at once. The 50 queries are the 40
+     * held-out ones plus 10 base rows spread over every segment.
+     */
+    void
+    expectLiveMatchesSerialWalk(MilvusIndexKind kind,
+                                const SearchSettings &settings) const
+    {
+        MilvusLikeEngine eng(kind);
+        eng.prepare(*data_, cacheDir_->path());
+        ASSERT_EQ(eng.numSegments(), 3u);
+
+        std::vector<const float *> queries;
+        for (std::size_t q = 0; q < data_->num_queries; ++q)
+            queries.push_back(data_->query(q));
+        for (std::size_t row = 5; queries.size() < 50; row += 1443)
+            queries.push_back(data_->base.data() + row * data_->dim);
+
+        std::vector<SearchResult> serial;
+        for (const float *query : queries) {
+            TopK merged(settings.k);
+            for (std::size_t s = 0; s < eng.numSegments(); ++s)
+                for (const Neighbor &n :
+                     eng.searchSegment(s, query, settings))
+                    merged.push(n.id, n.distance);
+            serial.push_back(merged.take());
+            ASSERT_EQ(serial.back().size(), settings.k);
+        }
+
+        for (std::size_t q = 0; q < queries.size(); ++q)
+            EXPECT_EQ(eng.searchLive(queries[q], settings), serial[q])
+                << "query " << q;
+
+        std::atomic<std::size_t> mismatches{0};
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < 4; ++t)
+            threads.emplace_back([&, t] {
+                for (std::size_t i = 0; i < queries.size(); ++i) {
+                    const std::size_t q = (i + 13 * t) % queries.size();
+                    if (eng.searchLive(queries[q], settings) != serial[q])
+                        mismatches.fetch_add(1);
+                }
+            });
+        for (std::thread &thread : threads)
+            thread.join();
+        EXPECT_EQ(mismatches.load(), 0u);
     }
 
     static Dataset *data_;
@@ -185,6 +241,28 @@ TEST_F(EngineFixture, MilvusIoGrowsWithSegments)
     const auto small_out = small_eng.search(small.query(0), settings);
     EXPECT_GT(big_out.trace.totalReadSectors(),
               2 * small_out.trace.totalReadSectors());
+}
+
+TEST_F(EngineFixture, MilvusIvfLiveMatchesSerialSegmentWalk)
+{
+    SearchSettings settings;
+    settings.nprobe = 20;
+    expectLiveMatchesSerialWalk(MilvusIndexKind::Ivf, settings);
+}
+
+TEST_F(EngineFixture, MilvusHnswLiveMatchesSerialSegmentWalk)
+{
+    SearchSettings settings;
+    settings.ef_search = 50;
+    expectLiveMatchesSerialWalk(MilvusIndexKind::Hnsw, settings);
+}
+
+TEST_F(EngineFixture, MilvusDiskAnnLiveMatchesSerialSegmentWalk)
+{
+    SearchSettings settings;
+    settings.search_list = 20;
+    settings.beam_width = 4;
+    expectLiveMatchesSerialWalk(MilvusIndexKind::DiskAnn, settings);
 }
 
 TEST_F(EngineFixture, QdrantAndWeaviateShareTheSameGraph)

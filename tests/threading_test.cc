@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/hotpath.hh"
@@ -114,6 +117,114 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline)
         covered += end - begin;
     });
     EXPECT_EQ(covered, 100u);
+}
+
+/** Poll @p flag until set or @p timeout; @return whether it was set. */
+bool
+waitFor(const std::atomic<bool> &flag, std::chrono::milliseconds timeout)
+{
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (!flag.load()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return true;
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersRunAtTheSameTime)
+{
+    // Caller A's job cannot finish before caller B's job has run. A
+    // pool that runs one job at a time holds B back until A's job
+    // ends, so A's wait times out (and the test fails) instead of
+    // hanging.
+    ThreadPool pool(4);
+    std::atomic<bool> a_running{false};
+    std::atomic<bool> b_ran{false};
+    std::atomic<bool> a_timed_out{false};
+    std::thread a([&] {
+        pool.parallelFor(2, 1, [&](std::size_t, std::size_t) {
+            a_running = true;
+            if (!waitFor(b_ran, std::chrono::seconds(2)))
+                a_timed_out = true;
+        });
+    });
+    EXPECT_TRUE(waitFor(a_running, std::chrono::seconds(10)));
+    std::atomic<std::size_t> b_covered{0};
+    pool.parallelFor(4, 1, [&](std::size_t begin, std::size_t end) {
+        b_covered.fetch_add(end - begin);
+        b_ran = true;
+    });
+    a.join();
+    EXPECT_EQ(b_covered.load(), 4u);
+    EXPECT_FALSE(a_timed_out.load())
+        << "caller B waited for caller A's job to end";
+}
+
+TEST(ThreadPoolTest, ExceptionReachesOnlyItsOwnCaller)
+{
+    // A's chunks throw while B's job is in flight on the same pool;
+    // B's chunks stay in flight until A's caller has caught the error.
+    ThreadPool pool(4);
+    std::atomic<bool> b_running{false};
+    std::atomic<bool> a_done{false};
+    bool a_threw = false;
+    std::thread a([&] {
+        try {
+            pool.parallelFor(4, 1, [&](std::size_t, std::size_t) {
+                waitFor(b_running, std::chrono::seconds(2));
+                throw std::runtime_error("caller A failed");
+            });
+        } catch (const std::runtime_error &) {
+            a_threw = true;
+        }
+        a_done = true;
+    });
+    std::atomic<std::size_t> b_covered{0};
+    EXPECT_NO_THROW(pool.parallelFor(
+        4, 1, [&](std::size_t begin, std::size_t end) {
+            b_running = true;
+            waitFor(a_done, std::chrono::seconds(2));
+            b_covered.fetch_add(end - begin);
+        }));
+    a.join();
+    EXPECT_TRUE(a_threw);
+    EXPECT_EQ(b_covered.load(), 4u);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersStress)
+{
+    // Eight callers share one 4-thread pool, 500 loops each, with
+    // random sizes and chunk lengths; every loop must run each of its
+    // own indices exactly once (and run clean under TSan).
+    ThreadPool pool(4);
+    constexpr unsigned kCallers = 8;
+    constexpr int kCalls = 500;
+    std::atomic<int> bad_loops{0};
+    std::vector<std::thread> callers;
+    for (unsigned c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            std::mt19937 rng(1000 + c);
+            for (int call = 0; call < kCalls; ++call) {
+                const std::size_t n = rng() % 200;
+                const std::size_t chunk = 1 + rng() % 16;
+                std::vector<std::atomic<int>> hits(n);
+                pool.parallelFor(
+                    n, chunk, [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i)
+                            hits[i].fetch_add(1);
+                    });
+                for (const std::atomic<int> &hit : hits)
+                    if (hit.load() != 1) {
+                        bad_loops.fetch_add(1);
+                        break;
+                    }
+            }
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    EXPECT_EQ(bad_loops.load(), 0);
 }
 
 // ------------------------------------------------------------ pinning

@@ -89,6 +89,7 @@ runFio(std::size_t jobs, std::size_t cores, std::uint32_t block_bytes,
             ? shared.latency_acc_us /
                   static_cast<double>(shared.completed)
             : 0.0;
+    simulator.run(); // workers finish their reads and free their frames
     return result;
 }
 

@@ -214,10 +214,12 @@ AnnServer::ioLoop()
             }
         }
         if (draining) {
-            bool queue_empty;
+            // Read before outbox_: once the queue is empty and no
+            // batch is out, its responses are already in outbox_.
+            bool all_answered;
             {
                 std::lock_guard<std::mutex> lock(queueMutex_);
-                queue_empty = queue_.empty();
+                all_answered = queue_.empty() && !batchOut_;
             }
             bool outbox_empty;
             {
@@ -230,8 +232,7 @@ AnnServer::ioLoop()
                     flushed = false;
                     break;
                 }
-            if ((queue_empty && inFlight_.load() == 0 &&
-                 outbox_empty && flushed) ||
+            if ((all_answered && outbox_empty && flushed) ||
                 std::chrono::steady_clock::now() - drain_start >
                     config_.drain_timeout)
                 break;
@@ -516,6 +517,7 @@ AnnServer::workerLoop()
         batch.clear();
         {
             std::unique_lock<std::mutex> lock(queueMutex_);
+            batchOut_ = false; // the last batch's responses are queued
             queueCv_.wait(lock, [&] {
                 return workerStop_ || !queue_.empty();
             });
@@ -528,6 +530,7 @@ AnnServer::workerLoop()
                 queue_.pop_front();
             }
             queueDepth_.store(queue_.size());
+            batchOut_ = true;
             // Gauge counts requests actually executing: incremented
             // here, decremented per request as each one completes
             // inside runBatch — not zeroed wholesale after the batch,

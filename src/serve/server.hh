@@ -178,6 +178,13 @@ class AnnServer
     std::condition_variable queueCv_;
     std::deque<Pending> queue_;
     bool workerStop_ = false;
+    /**
+     * Set when the worker takes a batch, cleared at its next locked
+     * section, which follows the batch's outbox push: with the queue
+     * empty and this clear, every admitted request's response has
+     * reached outbox_.
+     */
+    bool batchOut_ = false;
 
     // Responses (batch worker -> I/O thread), delivered via wakeFd_.
     mutable std::mutex outboxMutex_;

@@ -21,10 +21,9 @@
  *           the backend's one I/O worker pool, sized by queue depth.
  *   uring   batched async submission through io_uring: one SQE per
  *           sector run, a queue-depth-sized submission window, and
- *           completion reaping without per-read syscalls. Built on
- *           liburing when CMake finds it, on raw io_uring syscalls
- *           when only kernel headers exist, and compiled out (falling
- *           back to `file`) otherwise.
+ *           completion reaping without per-read syscalls. Driven by raw
+ *           io_uring syscalls (only <linux/io_uring.h> is needed),
+ *           and compiled out (falling back to `file`) without it.
  *
  * Lives below ann_index in the dependency order (library `ann_io`)
  * because the indexes own their backends; the simulated storage stack
@@ -124,9 +123,9 @@ IoOptions defaultIoOptions();
 void setDefaultIoOptions(const IoOptions &options);
 
 /**
- * True when the uring backend can actually run here: compiled in
- * (liburing or raw syscalls) and io_uring_setup(2) succeeds at
- * runtime (containers often filter it). Cached after the first call.
+ * True when the uring backend can actually run here: compiled in and
+ * io_uring_setup(2) succeeds at runtime (containers often filter it).
+ * Cached after the first call.
  */
 bool uringSupported();
 

@@ -7,15 +7,11 @@
  * io_uring_enter(2) per queue-depth window versus one pread(2) per
  * sector run for the file backend.
  *
- * Three build flavours, picked by CMake:
- *   ANN_HAVE_LIBURING        liburing found: use its ring helpers.
- *   ANN_HAVE_IO_URING_SYSCALL kernel headers only: a minimal raw
- *                            io_uring_setup/io_uring_enter shim with
- *                            hand-mmapped SQ/CQ rings.
- *   (neither)                makeUringBackend() returns nullptr and
- *                            the factory falls back to the file
- *                            backend — the build stays green on
- *                            machines without any io_uring support.
+ * The ring is driven by raw io_uring_setup/io_uring_enter/
+ * io_uring_register syscalls over hand-mmapped SQ/CQ rings, so the
+ * build needs only <linux/io_uring.h>. Without it (or with
+ * -DANN_DISABLE_URING=ON) makeUringBackend() returns nullptr and the
+ * factory falls back to the file backend.
  */
 
 #include "storage/io_backend.hh"
@@ -30,10 +26,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 
-#if defined(ANN_HAVE_LIBURING)
-#include <liburing.h>
-#include <unistd.h>
-#elif defined(ANN_HAVE_IO_URING_SYSCALL)
+#if defined(ANN_HAVE_IO_URING_SYSCALL)
 #include <linux/io_uring.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
@@ -45,7 +38,7 @@
 
 namespace ann::storage {
 
-#if defined(ANN_HAVE_LIBURING) || defined(ANN_HAVE_IO_URING_SYSCALL)
+#if defined(ANN_HAVE_IO_URING_SYSCALL)
 
 namespace {
 
@@ -65,185 +58,6 @@ fixShortRead(int fd, const IoRequest &req, int res)
                        req.sector * kIoSectorBytes +
                            static_cast<std::uint64_t>(res));
 }
-
-#if defined(ANN_HAVE_LIBURING)
-
-/** One submission/completion ring (liburing flavour). */
-class UringQueue
-{
-  public:
-    UringQueue() = default;
-    ~UringQueue()
-    {
-        if (inited_)
-            io_uring_queue_exit(&ring_);
-    }
-    UringQueue(const UringQueue &) = delete;
-    UringQueue &operator=(const UringQueue &) = delete;
-
-    bool
-    init(unsigned entries)
-    {
-        inited_ = io_uring_queue_init(entries, &ring_, 0) == 0;
-        return inited_;
-    }
-
-    /** Generation id of the buffer this ring has registered (0: none). */
-    std::uint64_t registeredRegion() const { return regionId_; }
-
-    /**
-     * Make @p region the ring's registered buffer 0, re-registering
-     * only when its generation id changed. @return false when
-     * registration is unavailable (e.g. RLIMIT_MEMLOCK); the failed id
-     * is remembered so the syscall is not retried every batch.
-     */
-    bool
-    ensureBuffers(const IoRegion &region)
-    {
-        if (regionId_ == region.id)
-            return true;
-        if (failedRegionId_ == region.id)
-            return false;
-        if (regionId_ != 0)
-            io_uring_unregister_buffers(&ring_);
-        regionId_ = 0;
-        iovec iov{region.base, region.bytes};
-        if (io_uring_register_buffers(&ring_, &iov, 1) != 0) {
-            failedRegionId_ = region.id;
-            return false;
-        }
-        regionId_ = region.id;
-        return true;
-    }
-
-    /** Register @p fd as fixed file 0 (idempotent per ring). */
-    bool
-    ensureFiles(int fd)
-    {
-        if (fileFd_ == fd)
-            return true;
-        if (filesFailed_)
-            return false;
-        if (fileFd_ >= 0)
-            io_uring_unregister_files(&ring_);
-        fileFd_ = -1;
-        if (io_uring_register_files(&ring_, &fd, 1) != 0) {
-            filesFailed_ = true;
-            return false;
-        }
-        fileFd_ = fd;
-        return true;
-    }
-
-    /**
-     * Submit requests [begin, begin + count) of @p reqs against @p fd
-     * as one batch and reap all completions. With @p fixed_buf /
-     * @p fixed_file the SQEs reference the pre-registered buffer and
-     * file (READ_FIXED + IOSQE_FIXED_FILE) — no per-read page pinning
-     * or fd refcounting in the kernel. @return false on a ring
-     * failure (caller falls back to pread).
-     */
-    bool
-    submitAndReap(int fd, const IoRequest *reqs, std::size_t begin,
-                  std::size_t count, bool fixed_buf, bool fixed_file)
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            io_uring_sqe *sqe = io_uring_get_sqe(&ring_);
-            if (!sqe)
-                return false;
-            const IoRequest &req = reqs[begin + i];
-            const unsigned len =
-                req.count * static_cast<unsigned>(kIoSectorBytes);
-            const std::uint64_t off = req.sector * kIoSectorBytes;
-            const int sqe_fd = fixed_file ? 0 : fd;
-            if (fixed_buf)
-                io_uring_prep_read_fixed(sqe, sqe_fd, req.dest, len,
-                                         off, 0);
-            else
-                io_uring_prep_read(sqe, sqe_fd, req.dest, len, off);
-            if (fixed_file)
-                sqe->flags |= IOSQE_FIXED_FILE;
-            sqe->user_data = begin + i;
-        }
-        if (io_uring_submit_and_wait(&ring_,
-                                     static_cast<unsigned>(count)) < 0)
-            return false;
-        bool ok = true;
-        for (std::size_t i = 0; i < count; ++i) {
-            io_uring_cqe *cqe = nullptr;
-            if (io_uring_wait_cqe(&ring_, &cqe) < 0)
-                return false;
-            ok = fixShortRead(fd, reqs[cqe->user_data], cqe->res) && ok;
-            io_uring_cqe_seen(&ring_, cqe);
-        }
-        return ok;
-    }
-
-    /**
-     * Stage @p count plain READ SQEs (user_data = slots[i]) and
-     * submit them WITHOUT waiting — the async half of the submit/poll
-     * API. @return false on a ring failure (caller serves the reads
-     * with pread instead).
-     */
-    bool
-    submitAsync(int fd, const IoRequest *reqs,
-                const std::uint32_t *slots, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i) {
-            io_uring_sqe *sqe = io_uring_get_sqe(&ring_);
-            if (!sqe) {
-                if (io_uring_submit(&ring_) < 0)
-                    return false;
-                sqe = io_uring_get_sqe(&ring_);
-                if (!sqe)
-                    return false;
-            }
-            const IoRequest &req = reqs[i];
-            io_uring_prep_read(
-                sqe, fd, req.dest,
-                req.count * static_cast<unsigned>(kIoSectorBytes),
-                req.sector * kIoSectorBytes);
-            sqe->user_data = slots[i];
-        }
-        return io_uring_submit(&ring_) >= 0;
-    }
-
-    /**
-     * Reap up to @p max completions into @p slots / @p res, blocking
-     * until at least @p min_complete land. @return the count, or
-     * SIZE_MAX on a ring failure.
-     */
-    std::size_t
-    reapAsync(std::uint32_t *slots, int *res, std::size_t max,
-              std::size_t min_complete)
-    {
-        std::size_t got = 0;
-        while (got < max) {
-            io_uring_cqe *cqe = nullptr;
-            if (io_uring_peek_cqe(&ring_, &cqe) != 0 || !cqe) {
-                if (got >= min_complete)
-                    break;
-                if (io_uring_wait_cqe(&ring_, &cqe) < 0)
-                    return static_cast<std::size_t>(-1);
-            }
-            slots[got] = static_cast<std::uint32_t>(cqe->user_data);
-            res[got] = cqe->res;
-            io_uring_cqe_seen(&ring_, cqe);
-            ++got;
-        }
-        return got;
-    }
-
-  private:
-    io_uring ring_{};
-    bool inited_ = false;
-    std::uint64_t regionId_ = 0;
-    std::uint64_t failedRegionId_ = 0;
-    int fileFd_ = -1;
-    bool filesFailed_ = false;
-};
-
-#else // ANN_HAVE_IO_URING_SYSCALL
 
 int
 sysIoUringSetup(unsigned entries, io_uring_params *params)
@@ -269,10 +83,14 @@ sysIoUringRegister(int ring_fd, unsigned opcode, const void *arg,
                                       opcode, arg, nr_args));
 }
 
+/** UringQueue::reap() result on a ring failure. */
+constexpr std::size_t kReapFailed = static_cast<std::size_t>(-1);
+
 /**
- * One submission/completion ring (raw-syscall flavour): the standard
- * mmap dance over io_uring_setup(2), SQE filling by hand, and
- * release/acquire fences on the shared head/tail indices.
+ * One submission/completion ring: the standard mmap dance over
+ * io_uring_setup(2), SQEs filled by hand, and release/acquire fences
+ * on the shared head/tail indices. Every submission is stage() per
+ * read, then one submit(); every completion goes through reap().
  */
 class UringQueue
 {
@@ -328,7 +146,6 @@ class UringQueue
         }
 
         auto *sq = static_cast<std::uint8_t *>(sqMem_);
-        sqHead_ = reinterpret_cast<unsigned *>(sq + params.sq_off.head);
         sqTail_ = reinterpret_cast<unsigned *>(sq + params.sq_off.tail);
         sqMask_ = reinterpret_cast<unsigned *>(
             sq + params.sq_off.ring_mask);
@@ -397,153 +214,112 @@ class UringQueue
         return true;
     }
 
-    bool
-    submitAndReap(int fd, const IoRequest *reqs, std::size_t begin,
-                  std::size_t count, bool fixed_buf, bool fixed_file)
+    /**
+     * Fill the next SQE with a read of @p req from @p fd; the kernel
+     * sees it only at the next submit(). @p user_data comes back in
+     * the read's CQE. @p fixed_buf reads into registered buffer 0
+     * (READ_FIXED) and @p fixed_file targets registered file 0: no
+     * per-read page pinning or fd refcounting in the kernel.
+     */
+    void
+    stage(int fd, const IoRequest &req, std::uint64_t user_data,
+          bool fixed_buf = false, bool fixed_file = false)
     {
-        // Fill SQEs, then publish them with one release-store on the
-        // tail index.
-        const unsigned mask = *sqMask_;
-        const unsigned tail = *sqTail_; // only this side writes it
-        for (std::size_t i = 0; i < count; ++i) {
-            const unsigned idx =
-                (tail + static_cast<unsigned>(i)) & mask;
-            io_uring_sqe *sqe = &sqes_[idx];
-            std::memset(sqe, 0, sizeof(*sqe));
-            const IoRequest &req = reqs[begin + i];
-            sqe->opcode = static_cast<std::uint8_t>(
-                fixed_buf ? IORING_OP_READ_FIXED : IORING_OP_READ);
-            sqe->fd = fixed_file ? 0 : fd;
-            if (fixed_file)
-                sqe->flags |= IOSQE_FIXED_FILE;
-            sqe->addr = reinterpret_cast<std::uint64_t>(req.dest);
-            sqe->len =
-                req.count * static_cast<unsigned>(kIoSectorBytes);
-            sqe->off = req.sector * kIoSectorBytes;
-            sqe->buf_index = 0; // registered buffer 0 (READ_FIXED)
-            sqe->user_data = begin + i;
-            sqArray_[idx] = idx;
-        }
-        __atomic_store_n(sqTail_, tail + static_cast<unsigned>(count),
-                         __ATOMIC_RELEASE);
-
-        // One syscall submits the whole window and waits for it.
-        int ret;
-        do {
-            ret = sysIoUringEnter(ringFd_,
-                                  static_cast<unsigned>(count),
-                                  static_cast<unsigned>(count),
-                                  IORING_ENTER_GETEVENTS);
-        } while (ret < 0 && errno == EINTR);
-        if (ret < 0)
-            return false;
-
-        // Reap every completion of the window.
-        bool ok = true;
-        std::size_t reaped = 0;
-        unsigned head = *cqHead_;
-        while (reaped < count) {
-            const unsigned ctail =
-                __atomic_load_n(cqTail_, __ATOMIC_ACQUIRE);
-            if (head == ctail) {
-                do {
-                    ret = sysIoUringEnter(
-                        ringFd_, 0,
-                        static_cast<unsigned>(count - reaped),
-                        IORING_ENTER_GETEVENTS);
-                } while (ret < 0 && errno == EINTR);
-                if (ret < 0)
-                    return false;
-                continue;
-            }
-            while (head != ctail && reaped < count) {
-                const io_uring_cqe *cqe = &cqes_[head & *cqMask_];
-                ok = fixShortRead(fd, reqs[cqe->user_data], cqe->res) &&
-                     ok;
-                ++head;
-                ++reaped;
-            }
-            __atomic_store_n(cqHead_, head, __ATOMIC_RELEASE);
-        }
-        return ok;
+        // Only this side writes the SQ tail.
+        const unsigned idx = (*sqTail_ + staged_++) & *sqMask_;
+        io_uring_sqe *sqe = &sqes_[idx];
+        std::memset(sqe, 0, sizeof(*sqe)); // buf_index 0, no flags
+        sqe->opcode = static_cast<std::uint8_t>(
+            fixed_buf ? IORING_OP_READ_FIXED : IORING_OP_READ);
+        sqe->fd = fixed_file ? 0 : fd;
+        if (fixed_file)
+            sqe->flags |= IOSQE_FIXED_FILE;
+        sqe->addr = reinterpret_cast<std::uint64_t>(req.dest);
+        sqe->len = req.count * static_cast<unsigned>(kIoSectorBytes);
+        sqe->off = req.sector * kIoSectorBytes;
+        sqe->user_data = user_data;
+        sqArray_[idx] = idx;
     }
 
     /**
-     * Stage @p count plain READ SQEs (user_data = slots[i]) and
-     * submit them WITHOUT waiting — the async half of the submit/poll
-     * API. @return false on a ring failure (caller serves the reads
-     * with pread instead).
+     * Publish every staged SQE with one release-store on the tail and
+     * submit them in one io_uring_enter(2), which also waits for
+     * @p wait completions. @return false on a ring failure.
      */
     bool
-    submitAsync(int fd, const IoRequest *reqs,
-                const std::uint32_t *slots, std::size_t count)
+    submit(unsigned wait)
     {
-        const unsigned mask = *sqMask_;
-        const unsigned tail = *sqTail_; // only this side writes it
-        for (std::size_t i = 0; i < count; ++i) {
-            const unsigned idx =
-                (tail + static_cast<unsigned>(i)) & mask;
-            io_uring_sqe *sqe = &sqes_[idx];
-            std::memset(sqe, 0, sizeof(*sqe));
-            const IoRequest &req = reqs[i];
-            sqe->opcode = static_cast<std::uint8_t>(IORING_OP_READ);
-            sqe->fd = fd;
-            sqe->addr = reinterpret_cast<std::uint64_t>(req.dest);
-            sqe->len =
-                req.count * static_cast<unsigned>(kIoSectorBytes);
-            sqe->off = req.sector * kIoSectorBytes;
-            sqe->user_data = slots[i];
-            sqArray_[idx] = idx;
-        }
-        __atomic_store_n(sqTail_, tail + static_cast<unsigned>(count),
-                         __ATOMIC_RELEASE);
-        int ret;
-        do {
-            ret = sysIoUringEnter(
-                ringFd_, static_cast<unsigned>(count), 0, 0);
-        } while (ret < 0 && errno == EINTR);
-        return ret >= 0;
+        const unsigned n = staged_;
+        staged_ = 0;
+        __atomic_store_n(sqTail_, *sqTail_ + n, __ATOMIC_RELEASE);
+        return enter(n, wait);
     }
 
     /**
-     * Reap up to @p max completions into @p slots / @p res, blocking
-     * until at least @p min_complete land. @return the count, or
-     * SIZE_MAX on a ring failure.
+     * Walk the CQ, handing up to @p max completions to
+     * @p on_cqe(user_data, res) and blocking until at least
+     * @p min_complete have been handed over. @return the count, or
+     * kReapFailed on a ring failure.
      */
+    template <typename OnCqe>
     std::size_t
-    reapAsync(std::uint32_t *slots, int *res, std::size_t max,
-              std::size_t min_complete)
+    reap(std::size_t max, std::size_t min_complete, OnCqe &&on_cqe)
     {
         std::size_t got = 0;
         unsigned head = *cqHead_;
         for (;;) {
-            const unsigned ctail =
+            const unsigned tail =
                 __atomic_load_n(cqTail_, __ATOMIC_ACQUIRE);
-            while (head != ctail && got < max) {
-                const io_uring_cqe *cqe = &cqes_[head & *cqMask_];
-                slots[got] =
-                    static_cast<std::uint32_t>(cqe->user_data);
-                res[got] = cqe->res;
-                ++head;
-                ++got;
+            for (; head != tail && got < max; ++head, ++got) {
+                const io_uring_cqe &cqe = cqes_[head & *cqMask_];
+                on_cqe(cqe.user_data, cqe.res);
             }
             __atomic_store_n(cqHead_, head, __ATOMIC_RELEASE);
             if (got >= min_complete || got >= max)
-                break;
-            int ret;
-            do {
-                ret = sysIoUringEnter(
-                    ringFd_, 0,
-                    static_cast<unsigned>(min_complete - got),
-                    IORING_ENTER_GETEVENTS);
-            } while (ret < 0 && errno == EINTR);
-            if (ret < 0)
-                return static_cast<std::size_t>(-1);
+                return got;
+            if (!enter(0, static_cast<unsigned>(min_complete - got)))
+                return kReapFailed;
         }
-        return got;
+    }
+
+    /**
+     * One queue-depth window of the blocking path: requests
+     * [begin, begin + count) of @p reqs go down and come back in one
+     * io_uring_enter(2) (user_data indexes @p reqs). @return false on
+     * a ring or read failure (caller falls back to pread).
+     */
+    bool
+    submitAndReap(int fd, const IoRequest *reqs, std::size_t begin,
+                  std::size_t count, bool fixed_buf, bool fixed_file)
+    {
+        for (std::size_t i = begin; i < begin + count; ++i)
+            stage(fd, reqs[i], i, fixed_buf, fixed_file);
+        if (!submit(static_cast<unsigned>(count)))
+            return false;
+        bool ok = true;
+        const std::size_t got =
+            reap(count, count, [&](std::uint64_t i, int res) {
+                ok = fixShortRead(fd, reqs[i], res) && ok;
+            });
+        return got == count && ok;
     }
 
   private:
+    /** io_uring_enter(2), retried on EINTR; waits for completions
+     *  only when @p min_complete > 0. */
+    bool
+    enter(unsigned to_submit, unsigned min_complete)
+    {
+        const unsigned flags =
+            min_complete > 0 ? IORING_ENTER_GETEVENTS : 0u;
+        int ret;
+        do {
+            ret = sysIoUringEnter(ringFd_, to_submit, min_complete,
+                                  flags);
+        } while (ret < 0 && errno == EINTR);
+        return ret >= 0;
+    }
+
     void
     destroy()
     {
@@ -571,8 +347,9 @@ class UringQueue
     std::size_t cqLen_ = 0;
     std::size_t sqeLen_ = 0;
     bool singleMmap_ = false;
+    /** SQEs filled since the last submit(). */
+    unsigned staged_ = 0;
 
-    unsigned *sqHead_ = nullptr;
     unsigned *sqTail_ = nullptr;
     unsigned *sqMask_ = nullptr;
     unsigned *sqArray_ = nullptr;
@@ -582,8 +359,6 @@ class UringQueue
     unsigned *cqMask_ = nullptr;
     io_uring_cqe *cqes_ = nullptr;
 };
-
-#endif // flavour
 
 class SharedUringRing;
 
@@ -794,8 +569,6 @@ class SharedUringRing
         freeSlots_.reserve(cap_);
         for (std::uint32_t s = 0; s < cap_; ++s)
             freeSlots_.push_back(cap_ - 1 - s);
-        reapSlots_.resize(cap_);
-        reapRes_.resize(cap_);
     }
 
     /** Return the (drained) ring to the backend's pool. */
@@ -825,18 +598,15 @@ class SharedUringRing
                 reapLocked(1);
             const std::size_t chunk =
                 std::min<std::size_t>(cap_ - inflight_, n - i);
-            chunkReqs_.clear();
             chunkSlots_.clear();
-            for (std::size_t j = 0; j < chunk; ++j) {
+            for (std::size_t j = i; j < i + chunk; ++j) {
                 const std::uint32_t slot = freeSlots_.back();
                 freeSlots_.pop_back();
-                slots_[slot] =
-                    Slot{requests[i + j], tags[i + j], box};
-                chunkReqs_.push_back(requests[i + j]);
+                slots_[slot] = Slot{requests[j], tags[j], box};
+                ring_->stage(backend_.fd_, requests[j], slot);
                 chunkSlots_.push_back(slot);
             }
-            if (ring_->submitAsync(backend_.fd_, chunkReqs_.data(),
-                                   chunkSlots_.data(), chunk)) {
+            if (ring_->submit(0)) {
                 inflight_ += chunk;
             } else {
                 for (std::size_t j = 0; j < chunk; ++j) {
@@ -958,17 +728,15 @@ class SharedUringRing
     void
     reapLocked(std::size_t min_complete)
     {
-        const std::size_t got = ring_->reapAsync(
-            reapSlots_.data(), reapRes_.data(), cap_,
-            std::min<std::size_t>(min_complete, inflight_));
-        ANN_CHECK(got != static_cast<std::size_t>(-1),
-                  "io_uring completion reap failed");
-        for (std::size_t k = 0; k < got; ++k) {
-            const std::uint32_t slot = reapSlots_[k];
-            finishSlot(slot, fixShortRead(backend_.fd_, slots_[slot].req,
-                                          reapRes_[k]));
-            --inflight_;
-        }
+        const std::size_t got = ring_->reap(
+            cap_, std::min<std::size_t>(min_complete, inflight_),
+            [this](std::uint64_t slot, int res) {
+                finishSlot(static_cast<std::uint32_t>(slot),
+                           fixShortRead(backend_.fd_,
+                                        slots_[slot].req, res));
+                --inflight_;
+            });
+        ANN_CHECK(got != kReapFailed, "io_uring completion reap failed");
     }
 
     UringIoBackend &backend_;
@@ -978,10 +746,8 @@ class SharedUringRing
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
     std::size_t inflight_ = 0;
-    std::vector<IoRequest> chunkReqs_;
+    /** Slots staged by the submission in progress. */
     std::vector<std::uint32_t> chunkSlots_;
-    std::vector<std::uint32_t> reapSlots_;
-    std::vector<int> reapRes_;
 };
 
 /** Per-consumer handle onto a ring: the backend's pooled one, or a

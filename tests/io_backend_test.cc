@@ -250,6 +250,47 @@ TEST(IoBackendTest, UringSmallQueueDepthStillCompletes)
     expectServesImage(*backend, image);
 }
 
+/**
+ * A region-hinted batch 32 windows wide: READ_FIXED on the fixed file,
+ * with each CQE's user_data indexing the request across windows. One
+ * destination outside the region sends the whole batch down the plain
+ * READ path instead. Both must serve the image's exact bytes.
+ */
+TEST(IoBackendTest, UringRegisteredBatchSpansWindows)
+{
+    if (!uringSupported())
+        GTEST_SKIP() << "io_uring unavailable in this environment";
+    const auto image = testImage(64, 11);
+    auto backend =
+        buildBackend(IoBackendKind::Uring, image, /*queue_depth=*/2);
+    ASSERT_NE(backend, nullptr);
+    ASSERT_EQ(backend->kind(), IoBackendKind::Uring);
+
+    AlignedBuffer buf;
+    std::uint8_t *out = buf.ensure(image.size());
+    AlignedBuffer outside;
+    std::uint8_t *stray = outside.ensure(kIoSectorBytes);
+    for (const bool all_in_region : {true, false}) {
+        std::memset(out, 0, image.size());
+        std::memset(stray, 0, kIoSectorBytes);
+        std::vector<IoRequest> requests;
+        for (std::uint64_t s = image.size() / kIoSectorBytes; s-- > 0;)
+            requests.push_back({s, 1, out + s * kIoSectorBytes});
+        if (!all_in_region)
+            requests[37].dest = stray;
+        backend->readBatch(requests.data(), requests.size(),
+                           buf.region());
+        for (const IoRequest &req : requests)
+            ASSERT_EQ(std::memcmp(req.dest,
+                                  image.data() +
+                                      req.sector * kIoSectorBytes,
+                                  kIoSectorBytes),
+                      0)
+                << "sector " << req.sector
+                << (all_in_region ? " (registered)" : " (plain)");
+    }
+}
+
 TEST(IoBackendTest, SinkPadsPartialTrailingSector)
 {
     // 2.5 sectors of payload: finish() must pad to 3 sectors.

@@ -39,8 +39,10 @@ iopsAtQueueDepth(std::size_t qd)
     for (std::size_t i = 0; i < qd; ++i)
         worker(simulator, ssd, second);
     simulator.runUntil(second);
-    return static_cast<double>(ssd.completedReads()) /
-           (static_cast<double>(second) / 1e9);
+    const double iops = static_cast<double>(ssd.completedReads()) /
+                        (static_cast<double>(second) / 1e9);
+    simulator.run(); // workers finish their reads and free their frames
+    return iops;
 }
 
 class SsdQueueDepthSweep

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include <thread>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "distance/recall.hh"
 #include "engine/milvus_like.hh"
 #include "learn/policy.hh"
@@ -229,6 +231,243 @@ TEST(ProtocolTest, MetricsRoundTrip)
     EXPECT_DOUBLE_EQ(decoded.p999_us, 42.25);
     EXPECT_EQ(decoded.cache_deduped, 7u);
     EXPECT_DOUBLE_EQ(decoded.eff_queue_depth, 3.75);
+}
+
+// -------------------------------------------------- protocol fuzzing
+
+/**
+ * Run every payload decoder on @p payload. Each must answer Ok or
+ * Malformed (never NeedMore: a payload is complete by contract), and
+ * a payload that decodes Ok must re-encode to exactly its bytes.
+ * @return what went wrong, empty when nothing did.
+ */
+std::string
+payloadProblem(const std::vector<std::uint8_t> &payload)
+{
+    std::string problem;
+    const auto check = [&](auto decoded, auto decode, auto encode,
+                           const char *name) {
+        switch (decode(payload.data(), payload.size(), &decoded)) {
+          case serve::DecodeResult::NeedMore:
+            problem = std::string(name) + " asked for more bytes";
+            break;
+          case serve::DecodeResult::Ok: {
+            std::vector<std::uint8_t> frame;
+            encode(decoded, &frame);
+            if (frame.size() != serve::kHeaderBytes + payload.size() ||
+                !std::equal(payload.begin(), payload.end(),
+                            frame.begin() + serve::kHeaderBytes))
+                problem = std::string(name) +
+                          " payload does not re-encode to its bytes";
+            break;
+          }
+          case serve::DecodeResult::Malformed:
+            break;
+        }
+    };
+    check(serve::SearchRequest{}, serve::decodeSearchRequest,
+          serve::encodeSearchRequest, "decodeSearchRequest");
+    check(serve::SearchResponse{}, serve::decodeSearchResponse,
+          serve::encodeSearchResponse, "decodeSearchResponse");
+    check(serve::MetricsSnapshot{}, serve::decodeMetricsResponse,
+          serve::encodeMetricsResponse, "decodeMetricsResponse");
+    return problem;
+}
+
+/**
+ * Decode @p bytes (exactly sized, so a sanitizer sees any over-read)
+ * as a peer would: the header, then every payload decoder on all the
+ * bytes after it and on the header's payload_bytes of them.
+ * @return what went wrong, empty when nothing did.
+ */
+std::string
+decodeProblem(const std::vector<std::uint8_t> &bytes)
+{
+    serve::FrameHeader header;
+    const serve::DecodeResult head =
+        serve::decodeHeader(bytes.data(), bytes.size(), &header);
+    if (bytes.size() < serve::kHeaderBytes)
+        return head == serve::DecodeResult::Ok ? "short header is Ok"
+                                               : "";
+    if (head == serve::DecodeResult::NeedMore)
+        return "full header asked for more bytes";
+    if (head == serve::DecodeResult::Ok) {
+        const auto type = static_cast<std::uint16_t>(header.type);
+        const std::uint8_t again[serve::kHeaderBytes] = {
+            static_cast<std::uint8_t>(serve::kMagic),
+            static_cast<std::uint8_t>(serve::kMagic >> 8),
+            static_cast<std::uint8_t>(serve::kMagic >> 16),
+            static_cast<std::uint8_t>(serve::kMagic >> 24),
+            static_cast<std::uint8_t>(type),
+            static_cast<std::uint8_t>(type >> 8), 0, 0,
+            static_cast<std::uint8_t>(header.payload_bytes),
+            static_cast<std::uint8_t>(header.payload_bytes >> 8),
+            static_cast<std::uint8_t>(header.payload_bytes >> 16),
+            static_cast<std::uint8_t>(header.payload_bytes >> 24)};
+        if (!std::equal(std::begin(again), std::end(again),
+                        bytes.begin()))
+            return "header does not re-encode to its bytes";
+    }
+    const std::vector<std::uint8_t> rest(
+        bytes.begin() + serve::kHeaderBytes, bytes.end());
+    std::string problem = payloadProblem(rest);
+    if (problem.empty() && head == serve::DecodeResult::Ok &&
+        header.payload_bytes < rest.size())
+        problem = payloadProblem(std::vector<std::uint8_t>(
+            rest.begin(), rest.begin() + header.payload_bytes));
+    return problem;
+}
+
+/** A little-endian u32 field of a frame and the bound its decoder
+ *  enforces. */
+struct FuzzField
+{
+    std::size_t at;
+    std::uint32_t bound;
+};
+
+/**
+ * Seeded mutations of a valid @p frame: a random bit flipped at every
+ * byte, truncation at every length, 1-16 appended random bytes, and
+ * each of @p fields (plus the header's payload_bytes) set to 0, its
+ * bound, bound +/- 1 and random values. Every mutant must decode
+ * without a problem (see decodeProblem()).
+ */
+void
+fuzzFrame(const std::vector<std::uint8_t> &frame,
+          std::vector<FuzzField> fields, std::uint64_t seed)
+{
+    ASSERT_EQ(decodeProblem(frame), "") << "unmutated frame";
+    Rng rng(seed);
+    std::vector<std::uint8_t> bytes = frame;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const auto bit = static_cast<std::uint8_t>(1u << rng.nextBelow(8));
+        bytes[i] ^= bit;
+        ASSERT_EQ(decodeProblem(bytes), "") << "bit flip at byte " << i;
+        bytes[i] ^= bit;
+    }
+    for (std::size_t len = 0; len < frame.size(); ++len)
+        ASSERT_EQ(decodeProblem(std::vector<std::uint8_t>(
+                      frame.begin(),
+                      frame.begin() + static_cast<std::ptrdiff_t>(len))),
+                  "")
+            << "truncated to " << len << " bytes";
+    for (int extra = 1; extra <= 16; ++extra) {
+        bytes.push_back(static_cast<std::uint8_t>(rng.next()));
+        ASSERT_EQ(decodeProblem(bytes), "")
+            << extra << " bytes appended";
+    }
+    fields.push_back({8, serve::kMaxPayloadBytes});
+    for (const FuzzField &field : fields) {
+        std::vector<std::uint32_t> values = {0, field.bound - 1,
+                                             field.bound,
+                                             field.bound + 1};
+        for (int r = 0; r < 8; ++r)
+            values.push_back(static_cast<std::uint32_t>(rng.next()));
+        for (const std::uint32_t value : values) {
+            bytes = frame;
+            for (std::size_t b = 0; b < 4; ++b)
+                bytes[field.at + b] =
+                    static_cast<std::uint8_t>(value >> (8 * b));
+            ASSERT_EQ(decodeProblem(bytes), "")
+                << "field at byte " << field.at << " set to " << value;
+        }
+    }
+}
+
+/** Frame offsets (header included) of the fuzzed count fields. */
+constexpr std::size_t kRequestKAt = serve::kHeaderBytes + 8;
+constexpr std::size_t kRequestDimAt = serve::kHeaderBytes + 28;
+constexpr std::size_t kResponseStatusAt = serve::kHeaderBytes + 8;
+constexpr std::size_t kResponseCountAt = serve::kHeaderBytes + 28;
+constexpr std::size_t kMetricsModelLenAt = serve::kHeaderBytes + 22 * 8;
+
+TEST(ProtocolFuzzTest, SearchRequestMutantsDecodeSafely)
+{
+    Rng rng(101);
+    serve::SearchRequest small;
+    small.request_id = 1;
+    small.settings.k = 1; // and an empty query
+    serve::SearchRequest large;
+    large.request_id = rng.next();
+    large.settings.k = serve::kMaxK;
+    large.settings.nprobe = 17;
+    large.settings.ef_search = 300;
+    large.settings.search_list = 90;
+    large.settings.beam_width = 8;
+    for (int d = 0; d < 128; ++d)
+        large.query.push_back(rng.nextFloat(-4.0f, 4.0f));
+    std::uint64_t seed = 11;
+    for (const serve::SearchRequest *request : {&small, &large}) {
+        SCOPED_TRACE("dim " + std::to_string(request->query.size()));
+        std::vector<std::uint8_t> frame;
+        serve::encodeSearchRequest(*request, &frame);
+        fuzzFrame(frame,
+                  {{kRequestKAt, serve::kMaxK},
+                   {kRequestDimAt, serve::kMaxDim}},
+                  seed++);
+    }
+}
+
+TEST(ProtocolFuzzTest, SearchResponseMutantsDecodeSafely)
+{
+    Rng rng(102);
+    serve::SearchResponse empty;
+    empty.request_id = 7;
+    empty.status = serve::Status::ShuttingDown;
+    serve::SearchResponse full;
+    full.request_id = rng.next();
+    full.queue_ns = 12345;
+    full.exec_ns = 67890;
+    for (VectorId id = 0; id < 100; ++id)
+        full.results.push_back(
+            {static_cast<VectorId>(rng.next()), rng.nextFloat(0, 9)});
+    std::uint64_t seed = 21;
+    for (const serve::SearchResponse *response : {&empty, &full}) {
+        SCOPED_TRACE(std::to_string(response->results.size()) +
+                     " results");
+        std::vector<std::uint8_t> frame;
+        serve::encodeSearchResponse(*response, &frame);
+        fuzzFrame(frame,
+                  {{kResponseStatusAt,
+                    static_cast<std::uint32_t>(
+                        serve::Status::BadRequest)},
+                   {kResponseCountAt, serve::kMaxK}},
+                  seed++);
+    }
+}
+
+TEST(ProtocolFuzzTest, MetricsResponseMutantsDecodeSafely)
+{
+    serve::MetricsSnapshot bare;
+    serve::MetricsSnapshot busy;
+    busy.received = 100;
+    busy.completed = 90;
+    busy.qps = 1234.5;
+    busy.p999_us = 42.25;
+    busy.learned_model =
+        std::string(serve::kMaxModelPathBytes, 'm');
+    std::uint64_t seed = 31;
+    for (const serve::MetricsSnapshot *snapshot : {&bare, &busy}) {
+        SCOPED_TRACE("model path of " +
+                     std::to_string(snapshot->learned_model.size()) +
+                     " bytes");
+        std::vector<std::uint8_t> frame;
+        serve::encodeMetricsResponse(*snapshot, &frame);
+        fuzzFrame(frame,
+                  {{kMetricsModelLenAt, serve::kMaxModelPathBytes}},
+                  seed++);
+    }
+}
+
+TEST(ProtocolFuzzTest, HeaderOnlyMutantsDecodeSafely)
+{
+    std::vector<std::uint8_t> frame;
+    serve::encodeMetricsRequest(&frame);
+    fuzzFrame(frame, {}, 41);
+    frame.clear();
+    serve::encodeShutdownAck(&frame);
+    fuzzFrame(frame, {}, 42);
 }
 
 // ------------------------------------------------------- loopback
@@ -607,6 +846,78 @@ TEST_F(ServeFixture, GracefulDrainAnswersQueuedWork)
     // The listen socket is gone: new connections must fail.
     serve::AnnClient late;
     EXPECT_THROW(late.connect("127.0.0.1", server.port()), FatalError);
+}
+
+/**
+ * A drain must not close a connection while the last batch's responses
+ * are on their way to the outbox. That window is a few instructions
+ * wide, so repeat: stop each server once every pipelined request is
+ * in while its batches execute, with a metrics poller waking the I/O
+ * thread into its drain check over and over; every request must then
+ * be answered (Ok when admitted) before its connection closes.
+ */
+TEST_F(ServeFixture, RepeatedDrainsAnswerEveryRequest)
+{
+    constexpr int kRounds = 50;
+    constexpr std::size_t kConns = 4;
+    constexpr std::uint64_t kBurst = 8;
+    for (int round = 0; round < kRounds; ++round) {
+        serve::ServerConfig config = baseConfig();
+        config.max_batch = 2;
+        config.queue_limit = kConns * kBurst;
+        serve::AnnServer server(*engine_, config);
+        server.start();
+        std::vector<serve::AnnClient> clients(kConns);
+        for (std::size_t c = 0; c < kConns; ++c) {
+            clients[c].connect("127.0.0.1", server.port());
+            for (std::uint64_t id = 0; id < kBurst; ++id)
+                clients[c].sendSearch(
+                    data_->query((c * kBurst + id) % data_->num_queries),
+                    data_->dim, settings(), id);
+        }
+        while (server.metrics().received < kConns * kBurst)
+            std::this_thread::yield();
+        serve::AnnClient poller;
+        poller.connect("127.0.0.1", server.port());
+        std::thread poke([&poller] {
+            try {
+                for (;;)
+                    poller.metrics();
+            } catch (const FatalError &) {
+                // The drain finished and closed the connection.
+            }
+        });
+        server.requestStop();
+
+        std::size_t answered = 0;
+        std::size_t ok = 0;
+        for (serve::AnnClient &client : clients) {
+            try {
+                for (std::uint64_t i = 0; i < kBurst; ++i) {
+                    const serve::SearchResponse response =
+                        client.recvSearchResponse();
+                    ++answered;
+                    // A request the stop overtook on its way to
+                    // admission is answered ShuttingDown; every
+                    // admitted one is Ok.
+                    EXPECT_TRUE(response.status == serve::Status::Ok ||
+                                response.status ==
+                                    serve::Status::ShuttingDown)
+                        << "round " << round << ": "
+                        << serve::statusName(response.status);
+                    ok += response.status == serve::Status::Ok;
+                }
+            } catch (const FatalError &) {
+                // Closed early: counted as unanswered below.
+            }
+        }
+        server.waitStopped();
+        poke.join();
+        ASSERT_EQ(answered, kConns * kBurst)
+            << "round " << round
+            << ": a connection closed with requests unanswered";
+        EXPECT_EQ(ok, server.metrics().completed) << "round " << round;
+    }
 }
 
 TEST_F(ServeFixture, ShutdownRequestFrameDrainsServer)

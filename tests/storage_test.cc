@@ -62,6 +62,7 @@ TEST(SsdModelTest, HighQueueDepthReaches4kRandomReadTarget)
         static_cast<double>(ssd.completedReads()) / 1e6;
     EXPECT_GT(miops, 1.1);
     EXPECT_LT(miops, 1.7);
+    simulator.run(); // workers finish their reads and free their frames
 }
 
 TEST(SsdModelTest, SequentialLargeReadsSaturateLinkBandwidth)
@@ -86,6 +87,7 @@ TEST(SsdModelTest, SequentialLargeReadsSaturateLinkBandwidth)
                        (1024.0 * 1024.0 * 1024.0);
     EXPECT_GT(gib, 6.3);
     EXPECT_LT(gib, 7.3); // never above the configured link cap
+    simulator.run(); // workers finish their reads and free their frames
 }
 
 TEST(SsdModelTest, BandwidthNeverExceedsLinkCap)
@@ -103,6 +105,7 @@ TEST(SsdModelTest, BandwidthNeverExceedsLinkCap)
     const double gib = static_cast<double>(ssd.bytesRead()) /
                        (1024.0 * 1024.0 * 1024.0);
     EXPECT_LE(gib, 7.21);
+    simulator.run(); // workers finish their reads and free their frames
 }
 
 TEST(SsdModelTest, WritesAreSlowerThanReads)
